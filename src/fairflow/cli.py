@@ -1,8 +1,9 @@
 """Command-line driver.
 
 One problem file in, one JSON result document out (CSV for ``report``).
-Exit codes: 0 ok, 1 infeasible or no fair flow exists, 2 input error.
-Logs go to stderr; stdout carries only the result.
+Exit codes: 0 ok, 1 infeasible or no fair flow exists, 2 input error,
+3 internal error (a bug, never a property of the input).  Logs go to
+stderr; stdout carries only the result.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import sys
 from typing import Any
 
 from .certificates import build_level_cost, is_decmin
-from .core import FlowProblem, focus_profile
+from .core import FlowProblem, check_flow, focus_profile
 from .decmin import incmax_flow, narrow_box
 from .errors import (
-    FairFlowError,
     InfeasibleError,
+    InfiniteBoundsError,
+    LimitExceededError,
     NoDecMinError,
+    UnboundedCostError,
 )
 from .existence import exists_decmin
 from .jsonio import (
@@ -198,6 +201,11 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         return 0, json.dumps(payload, indent=2)
 
     if command == "beta":
+        for e in sorted(problem.focus):
+            if not (problem.lower[e].is_finite and problem.upper[e].is_finite):
+                raise ProblemFormatError(
+                    f"edges[{e}]", "beta needs finite bounds on focus edges"
+                )
         result = compute_beta(problem)
         payload = {
             "status": "ok",
@@ -253,6 +261,9 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
 
     if command == "verify":
         values = parse_flow(_load_json(args.flow, "flow"), problem.edge_count)
+        violation = check_flow(problem, values)
+        if violation is not None:
+            raise ProblemFormatError("flow", f"not feasible: {violation.message}")
         verdict = is_decmin(problem, values)
         if verdict.decmin:
             _, cost = build_level_cost(problem, values)
@@ -310,9 +321,6 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         payload = {"status": "infeasible", "message": str(exc)}
         if exc.certificate is not None:
@@ -326,10 +334,17 @@ def main(argv=None) -> int:
             payload["witness_circuit"] = [_inf_arc_payload(a) for a in exc.witness]
         print(json.dumps(payload, indent=2))
         return 1
-    except FairFlowError as exc:
+    except (LimitExceededError, InfiniteBoundsError, UnboundedCostError) as exc:
+        # the instance is outside what the command accepts
         print(json.dumps({"status": "error", "message": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # here, not at the top: it adds ~5 ms to every start
+
+        traceback.print_exc()
+        print(json.dumps({"status": "internal-error", "message": str(exc)}, indent=2))
+        return 3
     print(output)
     return code
 

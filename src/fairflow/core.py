@@ -179,6 +179,22 @@ def supply_sum(problem: FlowProblem, nodes: Iterable[int]) -> int:
     return sum(problem.supply[v] for v in nodes)
 
 
+def _deficiency(problem: FlowProblem, lower, upper, nodes: Iterable[int]) -> ExtInt:
+    """supply(Z) - upper(entering Z) + lower(leaving Z); -inf if one is infinite."""
+    inside = set(nodes)
+    total = sum(problem.supply[v] for v in inside)
+    for e, (u, v) in enumerate(problem.graph.edges):
+        if v in inside and u not in inside:
+            if not upper[e].is_finite:
+                return NEG_INF
+            total -= upper[e].finite
+        elif u in inside and v not in inside:
+            if not lower[e].is_finite:
+                return NEG_INF
+            total += lower[e].finite
+    return ExtInt(total)
+
+
 def imbalances(graph: Digraph, values: Sequence[int]) -> list[int]:
     """Net inflow (in minus out) per node under integer edge values."""
     net = [0] * graph.node_count
@@ -232,7 +248,25 @@ def is_feasible(problem: FlowProblem, values: Sequence[int]) -> bool:
     return check_flow(problem, values) is None
 
 
-# -- auxiliary (residual) digraph ----------------------------------------
+# -- residual digraph ------------------------------------------------------
+
+
+def _residual_arcs(problem: FlowProblem, values: Sequence[int]):
+    """Residual arcs (tail, head, capacity, origin, forward) of a flow.
+
+    Edge-id order, forward (the edge can grow) before backward (it can
+    shrink).  Finite capacities are plain ints, unbounded ones +inf.
+    """
+    for e, (u, v) in enumerate(problem.graph.edges):
+        z, lo, hi = values[e], problem.lower[e], problem.upper[e]
+        if not hi.is_finite:
+            yield u, v, POS_INF, e, True
+        elif z < hi.finite:
+            yield u, v, hi.finite - z, e, True
+        if not lo.is_finite:
+            yield v, u, POS_INF, e, False
+        elif z > lo.finite:
+            yield v, u, z - lo.finite, e, False
 
 
 @dataclass(frozen=True)
@@ -261,19 +295,17 @@ class AuxDigraph:
 
 
 def build_aux_digraph(problem: FlowProblem, values: Sequence[int]) -> AuxDigraph:
-    arcs: list[AuxArc] = []
-    fwd: set[int] = set()
-    bwd: set[int] = set()
-    for e, (u, v) in enumerate(problem.graph.edges):
-        if values[e] < problem.upper[e]:
-            if e in problem.focus:
-                fwd.add(len(arcs))
-            arcs.append(AuxArc(u, v, True, e))
-        if values[e] > problem.lower[e]:
-            if e in problem.focus:
-                bwd.add(len(arcs))
-            arcs.append(AuxArc(v, u, False, e))
-    return AuxDigraph(problem.node_count, tuple(arcs), frozenset(fwd), frozenset(bwd))
+    arcs = tuple(
+        AuxArc(tail, head, forward, e)
+        for tail, head, _, e, forward in _residual_arcs(problem, values)
+    )
+    in_focus = [i for i, arc in enumerate(arcs) if arc.origin in problem.focus]
+    return AuxDigraph(
+        problem.node_count,
+        arcs,
+        frozenset(i for i in in_focus if arcs[i].forward),
+        frozenset(i for i in in_focus if not arcs[i].forward),
+    )
 
 
 # -- the fairness (dec-min) order ----------------------------------------

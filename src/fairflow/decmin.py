@@ -91,7 +91,10 @@ def apply_round_bounds(
         entered = chain.entered_count(u, v)
         leaves = chain.leaves_any(u, v)
         if e in level_set:
-            assert problem.upper[e] == beta, "cap-level edge must sit at beta"
+            if problem.upper[e] != beta:
+                raise InternalCertificateFailure(
+                    f"cap-level edge {e} must sit at beta {beta}"
+                )
             if entered >= 2:
                 f_prime[e] = g_prime[e] = as_extint(beta)
             elif entered == 1:
@@ -125,10 +128,16 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
     rounds: list[ReductionRound] = []
     while True:
         current = problem.with_bounds(lower, upper).with_focus(focus)
-        pre_tight = current.tight_edges(within=focus)
-        focus.difference_update(pre_tight)
+        removed = tuple(current.tight_edges(within=focus))
+        focus.difference_update(removed)
+        if focus:
+            beta_result: BetaResult = compute_beta(current.with_focus(focus))
+            upper = beta_result.clamped_upper
+            focus.difference_update(beta_result.removed_tight_edges)
+            removed += beta_result.removed_tight_edges
         if not focus:
-            if pre_tight:
+            # beta is None exactly when every focus edge turned tight
+            if removed:
                 rounds.append(
                     ReductionRound(
                         beta=None,
@@ -139,32 +148,10 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
                         g_prime=upper,
                         narrowed=frozenset(),
                         focus_next=frozenset(),
-                        removed_tight=tuple(pre_tight),
+                        removed_tight=removed,
                         nd_trace=None,
                     )
                 )
-            break
-        beta_result: BetaResult = compute_beta(
-            current.with_focus(focus)
-        )
-        upper = beta_result.clamped_upper
-        focus.difference_update(beta_result.removed_tight_edges)
-        removed = tuple(pre_tight) + beta_result.removed_tight_edges
-        if beta_result.beta is None:
-            rounds.append(
-                ReductionRound(
-                    beta=None,
-                    g_capped=upper,
-                    level_set=frozenset(),
-                    chain=None,
-                    f_prime=lower,
-                    g_prime=upper,
-                    narrowed=frozenset(),
-                    focus_next=frozenset(focus),
-                    removed_tight=removed,
-                    nd_trace=None,
-                )
-            )
             break
         clamped = problem.with_bounds(lower, upper).with_focus(focus)
         level_set = beta_result.saturated_level_set

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FlowProblem, FlowValues, boundary_sums, supply_sum
+from .core import FlowProblem, FlowValues, _deficiency
 from .errors import InternalCertificateFailure, NoDecMinError
 from .extint import ext_min
 from .maxflow import require_feasible
@@ -57,13 +57,24 @@ def infinity_digraph(problem: FlowProblem) -> tuple[InfArc, ...]:
     return tuple(arcs)
 
 
-def _strongly_connected_components(node_count: int, arcs: tuple[InfArc, ...]) -> list[int]:
-    """Component id per node (Kosaraju, iterative)."""
-    out: list[list[int]] = [[] for _ in range(node_count)]
-    rev: list[list[int]] = [[] for _ in range(node_count)]
+_Adjacency = list[list[InfArc]]
+
+
+def _adjacency(node_count: int, arcs: tuple[InfArc, ...]) -> _Adjacency:
+    """Outgoing arcs per node, in arc order."""
+    out: _Adjacency = [[] for _ in range(node_count)]
     for arc in arcs:
-        out[arc.tail].append(arc.head)
-        rev[arc.head].append(arc.tail)
+        out[arc.tail].append(arc)
+    return out
+
+
+def _strongly_connected_components(out: _Adjacency) -> list[int]:
+    """Component id per node (Kosaraju, iterative)."""
+    node_count = len(out)
+    rev: list[list[int]] = [[] for _ in range(node_count)]
+    for arcs in out:
+        for arc in arcs:
+            rev[arc.head].append(arc.tail)
     order: list[int] = []
     seen = [False] * node_count
     for root in range(node_count):
@@ -75,7 +86,7 @@ def _strongly_connected_components(node_count: int, arcs: tuple[InfArc, ...]) ->
             node, i = stack.pop()
             if i < len(out[node]):
                 stack.append((node, i + 1))
-                nxt = out[node][i]
+                nxt = out[node][i].head
                 if not seen[nxt]:
                     seen[nxt] = True
                     stack.append((nxt, 0))
@@ -98,25 +109,27 @@ def _strongly_connected_components(node_count: int, arcs: tuple[InfArc, ...]) ->
     return comp
 
 
-def _path(arcs: tuple[InfArc, ...], start: int, goal: int) -> list[InfArc]:
-    """Shortest arc path start -> goal (possibly empty when equal)."""
-    if start == goal:
-        return []
-    prev: dict[int, InfArc] = {}
+def _search(out: _Adjacency, start: int, goal: int = -1) -> dict[int, InfArc | None]:
+    """BFS map from each node reached to its arc (None at start); stops at goal."""
+    prev: dict[int, InfArc | None] = {start: None}
     queue = [start]
-    seen = {start}
-    while queue:
-        node = queue.pop(0)
-        for arc in arcs:
-            if arc.tail == node and arc.head not in seen:
-                seen.add(arc.head)
+    for node in queue:  # also visits the nodes appended below
+        if node == goal:
+            break
+        for arc in out[node]:
+            if arc.head not in prev:
                 prev[arc.head] = arc
-                if arc.head == goal:
-                    queue.clear()
-                    break
                 queue.append(arc.head)
+    return prev
+
+
+def _path(out: _Adjacency, start: int, goal: int) -> list[InfArc]:
+    """Shortest arc path start -> goal (empty when equal)."""
+    prev = _search(out, start, goal)
     if goal not in prev:
-        raise ValueError("no path; nodes are not in one component")
+        raise InternalCertificateFailure(
+            f"no path from {start} to {goal} inside one strong component"
+        )
     path = []
     node = goal
     while node != start:
@@ -138,12 +151,13 @@ def exists_decmin(problem: FlowProblem) -> ExistenceResult:
     shortest return path.
     """
     arcs = infinity_digraph(problem)
-    comp = _strongly_connected_components(problem.node_count, arcs)
+    out = _adjacency(problem.node_count, arcs)
+    comp = _strongly_connected_components(out)
     for arc in arcs:
         if arc.reversed_ or arc.origin not in problem.focus:
             continue
         if comp[arc.tail] == comp[arc.head]:
-            circuit = (arc, *_path(arcs, arc.head, arc.tail))
+            circuit = (arc, *_path(out, arc.head, arc.tail))
             return ExistenceResult(False, circuit)
     return ExistenceResult(True, None)
 
@@ -182,35 +196,19 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
             upper[e] = ext_min(problem.upper[e], cap)
     capped = problem.with_bounds(upper=upper)
 
-    arcs = infinity_digraph(problem)
-    reach_cache: dict[int, frozenset[int]] = {}
-
-    def reachable_from(start: int) -> frozenset[int]:
-        if start not in reach_cache:
-            seen = {start}
-            queue = [start]
-            while queue:
-                node = queue.pop(0)
-                for arc in arcs:
-                    if arc.tail == node and arc.head not in seen:
-                        seen.add(arc.head)
-                        queue.append(arc.head)
-            reach_cache[start] = frozenset(seen)
-        return reach_cache[start]
-
+    out = _adjacency(problem.node_count, infinity_digraph(problem))
     lower = list(problem.lower)
     for e in sorted(problem.focus):
         if problem.lower[e].is_finite:
             continue
         tail, head = problem.graph.edges[e]
-        region = reachable_from(head)
+        region = frozenset(_search(out, head))
         if tail in region:
             raise InternalCertificateFailure(
                 f"edge {e} closes an unboundedness circuit missed by the existence test"
             )
-        in_up, _ = boundary_sums(capped, upper, region)
-        _, out_lo = boundary_sums(capped, lower, region)
-        implied = supply_sum(problem, region) - (in_up - upper[e]) + out_lo
+        # e enters the region, so its own upper bound is taken back out
+        implied = _deficiency(capped, lower, upper, region) + upper[e]
         if not implied.is_finite or implied > upper[e]:
             raise InternalCertificateFailure(
                 f"implied bound {implied} on edge {e} is not usable"

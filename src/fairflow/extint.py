@@ -5,6 +5,8 @@ Bound functions take values in Z together with an infinite endpoint
 infinities as tagged values rather than sentinel integers, defines a
 total order mixing freely with built-in ints, and makes the one
 undefined combination (-inf) + (+inf) a hard error instead of a NaN.
+The max-flow and residual-digraph loops run on plain ints; ExtInt
+appears where they read bounds from a FlowProblem and in results.
 """
 
 from __future__ import annotations

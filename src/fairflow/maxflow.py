@@ -12,6 +12,16 @@ it sit three reductions:
 
 All three return deterministic answers: the cut side is always the
 source-reachable set of the final residual network.
+
+Residual capacities are plain ints.  Each network replaces +inf by a
+finite surrogate B = 1 + (total capacity of its super-source arcs).
+That is exact: every source arc is finite, so every augmenting path has
+a bottleneck of at most that total, which is below B.  A surrogate arc
+therefore never saturates, residual positivity is the same at every
+step as with +inf, and the paths, the flow value and the returned cut
+set are the same step for step.  The public max_flow, whose source
+edges may be infinite, first looks for an all-infinite source-sink path
+and otherwise uses B = 1 + (sum of the finite capacities).
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, boundary_sums, supply_sum
+from .core import Digraph, FlowProblem, FlowValues, _deficiency
 from .errors import InfeasibleError
-from .extint import ExtInt, POS_INF, as_extint, ext_min
+from .extint import ExtInt, POS_INF, as_extint
 
 
 @dataclass(frozen=True)
@@ -38,98 +48,76 @@ class CutCertificate:
 
 def hoffman_deficiency(problem: FlowProblem, nodes: Iterable[int]) -> ExtInt:
     """supply(Z) - in_upper(Z) + out_lower(Z) for a node set Z."""
-    nodes = set(nodes)
-    in_upper, _ = boundary_sums(problem, problem.upper, nodes)
-    _, out_lower = boundary_sums(problem, problem.lower, nodes)
-    return as_extint(supply_sum(problem, nodes)) - in_upper + out_lower
+    return _deficiency(problem, problem.lower, problem.upper, nodes)
 
 
 class _Residual:
-    """Mutable residual network for augmenting-path search.
+    """Mutable residual network with plain-int capacities.
 
-    Arcs are stored in pairs: arc i and its reverse i^1.  Residual
-    capacities are ExtInt so +inf arcs need no special casing.
+    Arcs are stored in pairs: arc i and its reverse i^1.  While arcs are
+    added, None stands for +inf; resolve() then swaps in the surrogate.
     """
 
     def __init__(self, node_count: int):
-        self.node_count = node_count
         self.head: list[int] = []
-        self.res: list[ExtInt] = []
+        self.cap: list[int | None] = []
+        self.res: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(node_count)]
 
-    def add_arc(self, tail: int, head: int, capacity) -> int:
-        """Add arc with the given capacity plus a zero-capacity reverse."""
-        aid = len(self.head)
-        self.head.append(head)
-        self.res.append(as_extint(capacity))
-        self.adj[tail].append(aid)
-        self.head.append(tail)
-        self.res.append(as_extint(0))
-        self.adj[head].append(aid + 1)
-        return aid
+    def add_pair(self, tail: int, head: int, capacity, reverse=0) -> None:
+        """Add arc tail->head and its reverse head->tail."""
+        self.adj[tail].append(len(self.head))
+        self.adj[head].append(len(self.head) + 1)
+        self.head += (head, tail)
+        self.cap += (capacity, reverse)
+
+    def resolve(self, infinity: int) -> None:
+        """Give every +inf arc the finite capacity ``infinity``; start at zero flow."""
+        self.cap = [infinity if c is None else c for c in self.cap]
+        self.res = list(self.cap)
 
     def pushed(self, aid: int) -> int:
-        """Net flow pushed through arc aid (reverse residual)."""
-        return self.res[aid ^ 1].finite
+        """Net flow pushed along arc aid."""
+        return self.cap[aid] - self.res[aid]
 
-    def reachable(self, source: int) -> set[int]:
-        seen = {source}
-        queue = [source]
-        while queue:
-            u = queue.pop(0)
-            for aid in self.adj[u]:
-                v = self.head[aid]
-                if v not in seen and self.res[aid] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+    def search(self, source: int, sink: int = -1, least: int = 1) -> dict[int, int]:
+        """Breadth-first search over arcs with residual >= least.
 
-    def _augmenting_path(self, source: int, sink: int) -> list[int] | None:
-        """Shortest residual path as a list of arc ids, or None."""
-        prev: dict[int, int] = {source: -1}
+        Maps each node reached to the arc it came by (-1 at the source);
+        stops once the sink is dequeued.
+        """
+        head, res, adj = self.head, self.res, self.adj
+        prev = {source: -1}
         queue = [source]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # also visits the nodes appended below
             if u == sink:
                 break
-            for aid in self.adj[u]:
-                v = self.head[aid]
-                if v not in prev and self.res[aid] > 0:
+            for aid in adj[u]:
+                v = head[aid]
+                if v not in prev and res[aid] >= least:
                     prev[v] = aid
                     queue.append(v)
-        if sink not in prev:
-            return None
-        path = []
-        v = sink
-        while v != source:
-            aid = prev[v]
-            path.append(aid)
-            v = self.head[aid ^ 1]
-        path.reverse()
-        return path
+        return prev
 
-    def max_flow(self, source: int, sink: int) -> tuple[ExtInt, set[int]]:
-        """Run augmenting paths to exhaustion; return (value, reachable set).
-
-        A path whose bottleneck is +inf means the value is unbounded;
-        the current reachable set (containing the sink) is returned
-        with value +inf.
-        """
-        total = as_extint(0)
+    def max_flow(self, source: int, sink: int) -> tuple[int, set[int]]:
+        """Run augmenting paths to exhaustion; return (value, reachable set)."""
+        head, res = self.head, self.res
+        total = 0
         while True:
-            path = self._augmenting_path(source, sink)
-            if path is None:
-                return total, self.reachable(source)
-            bottleneck: ExtInt = self.res[path[0]]
-            for aid in path[1:]:
-                bottleneck = ext_min(bottleneck, self.res[aid])
-            if bottleneck == POS_INF:
-                return POS_INF, self.reachable(source)
-            delta = bottleneck.finite
+            prev = self.search(source, sink)
+            if sink not in prev:
+                return total, set(prev)
+            path = []
+            v = sink
+            while v != source:
+                aid = prev[v]
+                path.append(aid)
+                v = head[aid ^ 1]
+            delta = min(res[aid] for aid in path)
             for aid in path:
-                self.res[aid] = self.res[aid] - delta
-                self.res[aid ^ 1] = self.res[aid ^ 1] + delta
-            total = total + delta
+                res[aid] -= delta
+                res[aid ^ 1] += delta
+            total += delta
 
 
 def max_flow(
@@ -140,64 +128,62 @@ def max_flow(
     Capacities may be ints or ExtInt (+inf allowed) and must be >= 0.
     Returns (value, flow per edge, min-cut source side).  The cut is the
     source-reachable set of the final residual network; its capacity
-    equals the flow value.  When an all-infinite augmenting path exists
-    the value is +inf and the flow is whatever was pushed before
-    detection.
+    equals the flow value.  When an all-infinite source-sink path exists
+    the value is +inf, no flow is pushed, and the set holds the nodes
+    reachable from the source along infinite edges (sink included).
     """
     if source == sink:
         raise ValueError("source and sink must differ")
-    net = _Residual(graph.node_count)
-    arc_of_edge = []
-    for e, (u, v) in enumerate(graph.edges):
-        cap = as_extint(capacities[e])
+    caps = [as_extint(cap) for cap in capacities]
+    for e, cap in enumerate(caps):
         if cap < 0:
             raise ValueError(f"edge {e} has negative capacity {cap}")
-        arc_of_edge.append(net.add_arc(u, v, cap))
+    net = _Residual(graph.node_count)
+    for (u, v), cap in zip(graph.edges, caps):
+        net.add_pair(u, v, cap.finite if cap.is_finite else None)
+    infinity = 1 + sum(c for c in net.cap if c is not None)
+    net.resolve(infinity)
+    along_infinite = net.search(source, least=infinity)
+    if sink in along_infinite:
+        return POS_INF, (0,) * graph.edge_count, frozenset(along_infinite)
     value, reach = net.max_flow(source, sink)
-    flow = tuple(net.pushed(aid) for aid in arc_of_edge)
-    return value, flow, frozenset(reach)
+    flow = tuple(net.pushed(2 * e) for e in range(graph.edge_count))
+    return ExtInt(value), flow, frozenset(reach)
 
 
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _base_point(problem: FlowProblem, e: int) -> int:
-    """A finite value inside [lower, upper] of edge e."""
-    lo, hi = problem.lower[e], problem.upper[e]
-    if lo.is_finite:
-        return lo.finite
-    if hi.is_finite:
-        return min(0, hi.finite)
-    return 0
-
-
 def _feasibility_network(problem: FlowProblem):
     """Super-source/super-sink network whose max flow decides feasibility.
 
-    Returns (net, source, sink, demand_total, base, edge_arcs) where
-    edge_arcs[e] = (forward arc id, backward arc id).
+    Returns (net, source, sink, demand_total, base).  Edge e starts at a
+    finite point base[e] of its bounds; arc 2e may raise it to its upper
+    bound and the reverse arc 2e+1 may lower it to its lower bound.
     """
     n = problem.node_count
     source, sink = n, n + 1
     net = _Residual(n + 2)
-    base = [_base_point(problem, e) for e in range(problem.edge_count)]
-    edge_arcs = []
-    residual_supply = list(problem.supply)
+    base = []
+    excess = list(problem.supply)
     for e, (u, v) in enumerate(problem.graph.edges):
-        residual_supply[v] -= base[e]
-        residual_supply[u] += base[e]
-        fwd = net.add_arc(u, v, problem.upper[e] - base[e])
-        bwd = net.add_arc(v, u, base[e] - problem.lower[e])
-        edge_arcs.append((fwd, bwd))
+        lo, hi = problem.lower[e], problem.upper[e]
+        b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
+        base.append(b)
+        excess[v] -= b
+        excess[u] += b
+        up = hi.finite - b if hi.is_finite else None
+        down = b - lo.finite if lo.is_finite else None
+        net.add_pair(u, v, up, down)
     demand_total = 0
-    for v in range(n):
-        r = residual_supply[v]
+    for v, r in enumerate(excess):
         if r > 0:
-            net.add_arc(v, sink, r)
+            net.add_pair(v, sink, r)
             demand_total += r
         elif r < 0:
-            net.add_arc(source, v, -r)
-    return net, source, sink, demand_total, base, edge_arcs
+            net.add_pair(source, v, -r)
+    net.resolve(demand_total + 1)
+    return net, source, sink, demand_total, base
 
 
 def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
@@ -206,13 +192,10 @@ def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
     Exactly one of the two outcomes is returned: a flow passing
     check_flow, or a CutCertificate with deficiency > 0.
     """
-    net, source, sink, demand_total, base, edge_arcs = _feasibility_network(problem)
+    net, source, sink, demand_total, base = _feasibility_network(problem)
     value, reach = net.max_flow(source, sink)
     if value == demand_total:
-        return tuple(
-            base[e] + net.pushed(fwd) - net.pushed(bwd)
-            for e, (fwd, bwd) in enumerate(edge_arcs)
-        )
+        return tuple(base[e] + net.pushed(2 * e) for e in range(len(base)))
     violating = frozenset(range(problem.node_count)) - reach
     deficiency = hoffman_deficiency(problem, violating)
     return CutCertificate(violating, deficiency.finite)
@@ -225,7 +208,7 @@ def most_violating_set(problem: FlowProblem) -> CutCertificate:
     > 0 exactly when no feasible flow exists.  Ties are resolved by the
     complement of the source-reachable min-cut side.
     """
-    net, source, sink, _, _, _ = _feasibility_network(problem)
+    net, source, sink, _, _ = _feasibility_network(problem)
     _, reach = net.max_flow(source, sink)
     nodes = frozenset(range(problem.node_count)) - reach
     deficiency = hoffman_deficiency(problem, nodes)
@@ -266,6 +249,10 @@ def nd_cut_subroutine(
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
+    g_prime = [as_extint(g) for g in g_prime]
+    for e, g in enumerate(g_prime):
+        if g < problem.lower[e]:
+            raise ValueError(f"g_prime must dominate lower (edge {e})")
     level = set(level_edges)
     n = problem.node_count
     source, sink = n, n + 1
@@ -273,30 +260,29 @@ def nd_cut_subroutine(
     # charge[v] accumulates the linear node terms of the objective
     charge = [-s for s in problem.supply]
     for e, (u, v) in enumerate(problem.graph.edges):
-        w = as_extint(g_prime[e]) + (mu if e in level else 0)
-        lo = problem.lower[e]
-        if as_extint(g_prime[e]) < lo:
-            raise ValueError(f"g_prime must dominate lower (edge {e})")
+        lo, g = problem.lower[e], g_prime[e]
+        w = g.finite + (mu if e in level else 0) if g.is_finite else None
         if lo.is_finite:
-            net.add_arc(u, v, w - lo.finite)
+            net.add_pair(u, v, None if w is None else w - lo.finite)
             charge[v] += lo.finite
             charge[u] -= lo.finite
-        elif w.is_finite:
+        elif w is not None:
             # lower = -inf: leaving Z is forbidden, entering costs w
-            net.add_arc(v, u, POS_INF)
-            charge[v] += w.finite
-            charge[u] -= w.finite
+            net.add_pair(v, u, None)
+            charge[v] += w
+            charge[u] -= w
         else:
             # lower = -inf and weight = +inf: crossing either way is forbidden
-            net.add_arc(u, v, POS_INF)
-            net.add_arc(v, u, POS_INF)
+            net.add_pair(u, v, None)
+            net.add_pair(v, u, None)
     shift = 0
     for v in range(n):
         if charge[v] > 0:
-            net.add_arc(source, v, charge[v])
+            net.add_pair(source, v, charge[v])
         elif charge[v] < 0:
-            net.add_arc(v, sink, -charge[v])
+            net.add_pair(v, sink, -charge[v])
             shift += -charge[v]
+    net.resolve(1 + sum(c for c in charge if c > 0))
     value, reach = net.max_flow(source, sink)
     nodes = frozenset(range(n)) - reach
-    return nodes, value.finite - shift
+    return nodes, value - shift

@@ -6,7 +6,9 @@ residual give an integer potential certifying it.  The solver leans on
 both directions: start from any feasible flow, cancel negative residual
 cycles until none remain, then the potentials fall out for free.
 
-Costs are restricted to integers so all arithmetic is exact.
+Costs are restricted to integers so all arithmetic is exact.  The
+residual digraph comes from the same builder as core's AuxDigraph:
+finite residual capacities are plain ints; only unbounded arcs carry +inf.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues
+from .core import FlowProblem, FlowValues, _residual_arcs
 from .errors import NegativeCycleError, UnboundedCostError
-from .extint import ExtInt, POS_INF, as_extint, ext_min
+from .extint import ExtInt, POS_INF
 from .maxflow import require_feasible
 
 
@@ -27,11 +29,12 @@ class ResidualArc:
 
     Forward arcs (value below upper) carry the edge cost; backward arcs
     (value above lower) carry the negated cost.  Present iff capacity > 0.
+    The capacity is a plain int, or +inf on an unbounded arc.
     """
 
     tail: int
     head: int
-    capacity: ExtInt
+    capacity: int | ExtInt
     cost: int
     origin: int
     forward: bool
@@ -53,15 +56,11 @@ def build_costed_residual(
     """
     if cost is None:
         cost = problem.cost or (0,) * problem.edge_count
-    arcs: list[ResidualArc] = []
-    for e, (u, v) in enumerate(problem.graph.edges):
-        up = problem.upper[e] - values[e]
-        if up > 0:
-            arcs.append(ResidualArc(u, v, up, cost[e], e, True))
-        down = as_extint(values[e]) - problem.lower[e]
-        if down > 0:
-            arcs.append(ResidualArc(v, u, down, -cost[e], e, False))
-    return CostedResidual(problem.node_count, tuple(arcs))
+    arcs = tuple(
+        ResidualArc(tail, head, capacity, cost[e] if forward else -cost[e], e, forward)
+        for tail, head, capacity, e, forward in _residual_arcs(problem, values)
+    )
+    return CostedResidual(problem.node_count, arcs)
 
 
 def _scalar_bf(residual: CostedResidual):
@@ -126,13 +125,10 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
         cycle = find_negative_dicircuit(residual)
         if cycle is None:
             return tuple(values)
-        bottleneck: ExtInt = cycle[0].capacity
-        for arc in cycle[1:]:
-            bottleneck = ext_min(bottleneck, arc.capacity)
-        if bottleneck == POS_INF:
+        delta = min(arc.capacity for arc in cycle)
+        if delta == POS_INF:
             raise UnboundedCostError(
                 "negative di-circuit with infinite residual capacity"
             )
-        delta = bottleneck.finite
         for arc in cycle:
             values[arc.origin] += delta if arc.forward else -delta

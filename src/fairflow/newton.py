@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import FlowProblem, boundary_sums, supply_sum
+from .core import FlowProblem, _deficiency
 from .errors import AssumptionViolatedError
 from .extint import ExtInt, as_extint
 from .maxflow import (
@@ -155,9 +155,7 @@ def compute_beta(problem: FlowProblem) -> BetaResult:
 
         def oracle(mu: int) -> tuple[frozenset[int], int, int]:
             nodes, _ = nd_cut_subroutine(problem, level_set, g_prime, mu)
-            in_gp, _ = boundary_sums(problem, g_prime, nodes)
-            _, out_f = boundary_sums(problem, lower, nodes)
-            p = (as_extint(supply_sum(problem, nodes)) - in_gp + out_f).finite
+            p = _deficiency(problem, lower, g_prime, nodes).finite
             b = sum(1 for e in problem.graph.entering(nodes) if e in level_set)
             return nodes, p, b
 

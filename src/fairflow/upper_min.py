@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, boundary_sums, supply_sum
+from .core import Digraph, FlowProblem, FlowValues
 from .errors import InternalCertificateFailure
-from .extint import NEG_INF, POS_INF, as_extint
-from .maxflow import require_feasible
+from .extint import as_extint
+from .maxflow import hoffman_deficiency, require_feasible
 from .mincost import build_costed_residual, min_cost_mflow, residual_potentials
 
 
@@ -209,12 +209,8 @@ def chain_dual_value(
         for e in level
         if chain.entered_count(*problem.graph.edges[e]) >= 1
     )
-    slack = 0
-    for member in chain.sets:
-        in_up, _ = boundary_sums(problem, problem.upper, member)
-        _, out_lo = boundary_sums(problem, problem.lower, member)
-        slack += (in_up - out_lo - supply_sum(problem, member)).finite
-    return entered - slack
+    # a member's slack in_upper - out_lower - supply is minus its deficiency
+    return entered + sum(hoffman_deficiency(problem, m).finite for m in chain.sets)
 
 
 def solve_upper_minimizer(
@@ -243,9 +239,7 @@ def solve_upper_minimizer(
     for member in chain.sets:
         if len(member) >= problem.node_count:
             raise InternalCertificateFailure("chain member is not a proper subset")
-        in_up, _ = boundary_sums(problem, problem.upper, member)
-        _, out_lo = boundary_sums(problem, problem.lower, member)
-        if in_up == POS_INF or out_lo == NEG_INF:
+        if not hoffman_deficiency(problem, member).is_finite:
             raise InternalCertificateFailure("chain member has an infinite boundary term")
     if chain_dual_value(problem, level, chain) != count:
         raise InternalCertificateFailure("dual chain value does not match count")

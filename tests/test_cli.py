@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fairflow import cli
 from fairflow.cli import main
+from fairflow.errors import InternalCertificateFailure
 from fairflow.jsonio import problem_to_json
 
 from conftest import build
@@ -200,3 +202,33 @@ class TestErrors:
         code, out, err = run(capsys, "oracle", "enumerate", str(path))
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+
+class TestExitCodes:
+    def test_beta_on_infinite_focus_bound_is_input_error(self, capsys, tmp_path):
+        problem = build(2, [(0, 1)], [0], ["+inf"], [-1, 1], focus=[0])
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(problem_to_json(problem)))
+        code, _, err = run(capsys, "beta", str(path))
+        assert code == 2
+        assert "edges[0]" in err
+
+    def test_verify_infeasible_flow_is_input_error(self, capsys, tmp_path, asym_file):
+        flow_path = tmp_path / "infeasible.json"
+        flow_path.write_text(json.dumps({"values": [3, 1, 3]}))
+        code, _, err = run(capsys, "verify", asym_file, "--flow", str(flow_path))
+        assert code == 2
+        assert "flow" in err and "not feasible" in err
+
+    @pytest.mark.parametrize(
+        "error", [InternalCertificateFailure("broken chain"), ValueError("no path")]
+    )
+    def test_solver_failure_is_internal_error(self, capsys, monkeypatch, asym_file, error):
+        def fail(problem):
+            raise error
+
+        monkeypatch.setattr(cli, "narrow_box", fail)
+        code, out, err = run(capsys, "narrow-box", asym_file)
+        assert code == 3
+        assert json.loads(out)["status"] == "internal-error"
+        assert type(error).__name__ in err

@@ -197,3 +197,16 @@ class TestFinitize:
             flow = decmin_flow(finite)
             assert focus_profile(finite, flow) == profile
             tested += 1
+
+
+class TestPath:
+    def test_missing_path_is_an_internal_failure(self):
+        from fairflow import InternalCertificateFailure
+        from fairflow.existence import InfArc, _adjacency, _path
+
+        arc = InfArc(0, 1, 0, False)
+        out = _adjacency(2, (arc,))
+        assert _path(out, 0, 1) == [arc]
+        assert _path(out, 1, 1) == []
+        with pytest.raises(InternalCertificateFailure):
+            _path(out, 1, 0)
