@@ -12,7 +12,10 @@ checked arc by arc without trusting the solver, which is the point:
   (backward arcs are rated one below their edge value, since that is
   the value the edge takes after the push), all other arcs cost zero,
   and a circuit improves iff its cost sum is lexicographically
-  negative.
+  negative.  find_improving_dicircuit searches for one with the plain
+  integer search, after weighting level l by a power of B large enough
+  that no simple circuit can carry a lower level past a higher one
+  (see _vector_bf).
 
 * A potential-vector assigns each node an integer vector whose
   lexicographic differences are dominated by the arc costs.  Summing
@@ -105,24 +108,26 @@ def build_level_cost(
 
 
 def _vector_bf(aux: AuxDigraph, cost: LevelCost):
+    """The scalar search on level costs weighted by powers of B.
+
+    An arc tagged at level l costs sign * B**(k-1-l), B = 2*len(arcs)+1.
+    A simple circuit has at most len(arcs) arcs, so each component of
+    its vector sum lies in [-len(arcs), len(arcs)] and the scalar sum
+    has the sign of the first nonzero component: its lexicographic
+    sign.  Predecessor-graph cycles are simple, and a lexicographically
+    negative closed walk contains a negative simple circuit, so the
+    verdict is that of a search over the vectors themselves.
+    """
     k = cost.dimension
-    zero = (0,) * k
-
-    def add(label: tuple[int, ...], weight: tuple[int, int]) -> tuple[int, ...]:
-        sign, idx = weight
-        if sign == 0:
-            return label
-        bumped = list(label)
-        bumped[idx] += sign
-        return tuple(bumped)
-
+    base = 2 * len(aux.arcs) + 1
     return bellman_ford(
         aux.node_count,
         [a.tail for a in aux.arcs],
         [a.head for a in aux.arcs],
-        list(zip(cost.arc_sign, cost.arc_level)),
-        add=add,
-        zero=zero,
+        [
+            sign * base ** (k - 1 - level) if sign else 0
+            for sign, level in zip(cost.arc_sign, cost.arc_level)
+        ],
     )
 
 
@@ -167,9 +172,7 @@ def build_potential_vector(
         weights = [
             cost.arc_sign[i] if cost.arc_level[i] == lvl else 0 for i in active
         ]
-        dist, cycle = bellman_ford(
-            aux.node_count, tails, heads, weights, add=lambda d, w: d + w, zero=0
-        )
+        dist, cycle = bellman_ford(aux.node_count, tails, heads, weights)
         if cycle is not None:
             return tuple(aux.arcs[active[i]] for i in cycle)
         components.append(dist)

@@ -251,22 +251,30 @@ def is_feasible(problem: FlowProblem, values: Sequence[int]) -> bool:
 # -- residual digraph ------------------------------------------------------
 
 
-def _residual_arcs(problem: FlowProblem, values: Sequence[int]):
-    """Residual arcs (tail, head, capacity, origin, forward) of a flow.
+def _edge_residual_arcs(problem: FlowProblem, values: Sequence[int], e: int) -> list:
+    """Residual arcs (tail, head, capacity, origin, forward) of edge e.
 
-    Edge-id order, forward (the edge can grow) before backward (it can
-    shrink).  Finite capacities are plain ints, unbounded ones +inf.
+    Forward (the edge can grow) before backward (it can shrink).  Finite
+    capacities are plain ints, unbounded ones +inf.
     """
-    for e, (u, v) in enumerate(problem.graph.edges):
-        z, lo, hi = values[e], problem.lower[e], problem.upper[e]
-        if not hi.is_finite:
-            yield u, v, POS_INF, e, True
-        elif z < hi.finite:
-            yield u, v, hi.finite - z, e, True
-        if not lo.is_finite:
-            yield v, u, POS_INF, e, False
-        elif z > lo.finite:
-            yield v, u, z - lo.finite, e, False
+    u, v = problem.graph.edges[e]
+    z, lo, hi = values[e], problem.lower[e], problem.upper[e]
+    arcs = []
+    if not hi.is_finite:
+        arcs.append((u, v, POS_INF, e, True))
+    elif z < hi.finite:
+        arcs.append((u, v, hi.finite - z, e, True))
+    if not lo.is_finite:
+        arcs.append((v, u, POS_INF, e, False))
+    elif z > lo.finite:
+        arcs.append((v, u, z - lo.finite, e, False))
+    return arcs
+
+
+def _residual_arcs(problem: FlowProblem, values: Sequence[int]):
+    """Residual arcs of a flow in edge-id order, as in _edge_residual_arcs."""
+    for e in range(problem.edge_count):
+        yield from _edge_residual_arcs(problem, values, e)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ both directions: start from any feasible flow, cancel negative residual
 cycles until none remain, then the potentials fall out for free.
 
 Costs are restricted to integers so all arithmetic is exact.  The
-residual digraph comes from the same builder as core's AuxDigraph:
+residual digraph comes from the same per-edge rule as core's AuxDigraph:
 finite residual capacities are plain ints; only unbounded arcs carry +inf.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, _residual_arcs
+from .core import FlowProblem, FlowValues, _edge_residual_arcs, _residual_arcs
 from .errors import NegativeCycleError, UnboundedCostError
 from .extint import ExtInt, POS_INF
 from .maxflow import require_feasible
@@ -46,6 +46,11 @@ class CostedResidual:
     arcs: tuple[ResidualArc, ...]
 
 
+def _costed(arc: tuple, cost: Sequence[int]) -> ResidualArc:
+    tail, head, capacity, e, forward = arc
+    return ResidualArc(tail, head, capacity, cost[e] if forward else -cost[e], e, forward)
+
+
 def build_costed_residual(
     problem: FlowProblem, values: Sequence[int], cost: Sequence[int] | None = None
 ) -> CostedResidual:
@@ -56,10 +61,7 @@ def build_costed_residual(
     """
     if cost is None:
         cost = problem.cost or (0,) * problem.edge_count
-    arcs = tuple(
-        ResidualArc(tail, head, capacity, cost[e] if forward else -cost[e], e, forward)
-        for tail, head, capacity, e, forward in _residual_arcs(problem, values)
-    )
+    arcs = tuple(_costed(arc, cost) for arc in _residual_arcs(problem, values))
     return CostedResidual(problem.node_count, arcs)
 
 
@@ -69,8 +71,6 @@ def _scalar_bf(residual: CostedResidual):
         [a.tail for a in residual.arcs],
         [a.head for a in residual.arcs],
         [a.cost for a in residual.arcs],
-        add=lambda d, w: d + w,
-        zero=0,
     )
 
 
@@ -101,8 +101,11 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     """Integral feasible flow minimizing total cost.
 
     Establishes any feasible flow, then cancels negative residual
-    di-circuits (first one found in deterministic scan order) until the
-    residual is conservative.
+    di-circuits until the residual is conservative.  The residual is
+    kept in place: edge e owns slot 2e (forward arc) and slot 2e+1
+    (backward arc), and after a cancellation only the slots of the
+    circuit's edges are rebuilt.  Each search sees the present slots in
+    slot order, the order build_costed_residual gives.
 
     Raises InfeasibleError when no feasible flow exists, and
     UnboundedCostError when the cost guard fails: every negative-cost
@@ -120,8 +123,20 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
                 f"edge {e} has positive cost and lower bound -inf"
             )
     values = list(require_feasible(problem))
+    slots: list[ResidualArc | None] = [None] * (2 * problem.edge_count)
+
+    def rebuild(e: int) -> None:
+        slots[2 * e] = slots[2 * e + 1] = None
+        for arc in _edge_residual_arcs(problem, values, e):
+            costed = _costed(arc, cost)
+            slots[2 * e + (not costed.forward)] = costed
+
+    for e in range(problem.edge_count):
+        rebuild(e)
     while True:
-        residual = build_costed_residual(problem, values, cost)
+        residual = CostedResidual(
+            problem.node_count, tuple(arc for arc in slots if arc is not None)
+        )
         cycle = find_negative_dicircuit(residual)
         if cycle is None:
             return tuple(values)
@@ -132,3 +147,5 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
             )
         for arc in cycle:
             values[arc.origin] += delta if arc.forward else -delta
+        for e in {arc.origin for arc in cycle}:
+            rebuild(e)

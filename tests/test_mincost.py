@@ -178,3 +178,63 @@ def test_residual_arcs_present_iff_capacity(diamond):
     kinds = {(a.origin, a.forward) for a in residual.arcs}
     assert (0, True) in kinds and (0, False) not in kinds  # at lower bound
     assert (1, True) not in kinds and (1, False) in kinds  # at upper bound
+
+
+def descending_cycle(n, closing_weight):
+    """Arcs k+1 -> k of weight -1, then 0 -> n-1 closing the cycle.
+
+    Node ids fall along the path, so a pass in id order moves labels one
+    arc forward: node 0 reaches -(n-1) in pass n-1, and the closing arc
+    lowers node n-1 only in pass n.
+    """
+    tails = [k + 1 for k in range(n - 1)] + [0]
+    heads = [k for k in range(n - 1)] + [n - 1]
+    weights = [-1] * (n - 1) + [closing_weight]
+    return tails, heads, weights
+
+
+class TestSearchPasses:
+    def test_cycle_closed_in_the_last_pass(self, monkeypatch):
+        import fairflow._bf as bf
+
+        n = 60
+        tails, heads, weights = descending_cycle(n, n - 2)  # total weight -1
+        checks = []
+        walk = bf._predecessor_cycle
+
+        def counted(pred, arc_tails):
+            checks.append(1)
+            return walk(pred, arc_tails)
+
+        monkeypatch.setattr(bf, "_predecessor_cycle", counted)
+        _, cycle = bf.bellman_ford(n, tails, heads, weights)
+        assert len(checks) == n
+        assert sorted(cycle) == list(range(n))
+        for first, second in zip(cycle, cycle[1:] + cycle[:1]):
+            assert heads[first] == tails[second]
+
+    def test_zero_cycle_gives_distances_after_n_passes(self):
+        from fairflow._bf import bellman_ford
+
+        n = 60
+        dist, cycle = bellman_ford(n, *descending_cycle(n, n - 1))  # total weight 0
+        assert cycle is None
+        assert dist == [-(n - 1 - k) for k in range(n - 1)] + [0]
+
+    def test_only_negative_cycle_at_the_end_of_a_long_path(self):
+        n = 60
+        tails, heads, weights = descending_cycle(n, n - 2)
+        arcs = tuple(
+            arc(t, h, 1, w, i) for i, (t, h, w) in enumerate(zip(tails, heads, weights))
+        )
+        cycle = find_negative_dicircuit(CostedResidual(n, arcs))
+        assert cycle is not None and len(cycle) == n
+        assert sum(a.cost for a in cycle) == -1
+
+    def test_missing_cycle_is_an_internal_failure(self, monkeypatch):
+        import fairflow._bf as bf
+        from fairflow import InternalCertificateFailure
+
+        monkeypatch.setattr(bf, "_predecessor_cycle", lambda pred, tails: None)
+        with pytest.raises(InternalCertificateFailure):
+            bf.bellman_ford(2, [0, 1], [1, 0], [1, -2])
