@@ -19,14 +19,14 @@ from .certificates import (
     potential_is_feasible,
 )
 from .core import (
-    AuxArc,
-    AuxDigraph,
+    CostedResidual,
     Digraph,
     FlowProblem,
     FlowValues,
     FlowViolation,
+    ResidualArc,
     boundary_sums,
-    build_aux_digraph,
+    build_costed_residual,
     check_flow,
     decmin_compare,
     focus_profile,
@@ -73,9 +73,6 @@ from .maxflow import (
     require_feasible,
 )
 from .mincost import (
-    CostedResidual,
-    ResidualArc,
-    build_costed_residual,
     find_negative_dicircuit,
     min_cost_mflow,
     residual_potentials,

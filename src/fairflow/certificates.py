@@ -24,6 +24,9 @@ checked arc by arc without trusting the solver, which is the point:
 
 The construction of the vector is level-by-level scalar shortest
 distances, recursing on the tight arcs of each level.
+
+The residual digraph is core's CostedResidual, as in min-cost canceling;
+its arc costs play no part in the fairness order.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from typing import Sequence
 
 from ._bf import bellman_ford
 from .core import (
-    AuxArc,
-    AuxDigraph,
+    CostedResidual,
     FlowProblem,
     FlowValues,
-    build_aux_digraph,
+    ResidualArc,
+    build_costed_residual,
     check_flow,
 )
 from .errors import InfiniteBoundsError, InternalCertificateFailure
@@ -84,30 +87,30 @@ class DecMinVerdict:
 
     decmin: bool
     potential: PotentialVector | None
-    circuit: tuple[AuxArc, ...] | None
+    circuit: tuple[ResidualArc, ...] | None
 
 
 def build_level_cost(
     problem: FlowProblem, values: Sequence[int]
-) -> tuple[AuxDigraph, LevelCost]:
+) -> tuple[CostedResidual, LevelCost]:
     """Residual digraph of the flow plus its level cost vectors."""
-    aux = build_aux_digraph(problem, values)
-    adjusted: dict[int, int] = {}
-    for idx in aux.focus_forward:
-        adjusted[idx] = values[aux.arcs[idx].origin]
-    for idx in aux.focus_backward:
-        adjusted[idx] = values[aux.arcs[idx].origin] - 1
+    aux = build_costed_residual(problem, values)
+    adjusted = {
+        idx: values[arc.origin] if arc.forward else values[arc.origin] - 1
+        for idx, arc in enumerate(aux.arcs)
+        if arc.origin in problem.focus
+    }
     levels = tuple(sorted(set(adjusted.values()), reverse=True))
     index_of = {value: i for i, value in enumerate(levels)}
     sign = [0] * len(aux.arcs)
     level = [-1] * len(aux.arcs)
     for idx, value in adjusted.items():
-        sign[idx] = 1 if idx in aux.focus_forward else -1
+        sign[idx] = 1 if aux.arcs[idx].forward else -1
         level[idx] = index_of[value]
     return aux, LevelCost(levels, tuple(sign), tuple(level))
 
 
-def _vector_bf(aux: AuxDigraph, cost: LevelCost):
+def _vector_bf(aux: CostedResidual, cost: LevelCost):
     """The scalar search on level costs weighted by powers of B.
 
     An arc tagged at level l costs sign * B**(k-1-l), B = 2*len(arcs)+1.
@@ -132,8 +135,8 @@ def _vector_bf(aux: AuxDigraph, cost: LevelCost):
 
 
 def find_improving_dicircuit(
-    aux: AuxDigraph, cost: LevelCost
-) -> tuple[AuxArc, ...] | None:
+    aux: CostedResidual, cost: LevelCost
+) -> tuple[ResidualArc, ...] | None:
     """A residual di-circuit with lexicographically negative cost, or None."""
     _, cycle = _vector_bf(aux, cost)
     if cycle is None:
@@ -141,7 +144,7 @@ def find_improving_dicircuit(
     return tuple(aux.arcs[i] for i in cycle)
 
 
-def apply_dicircuit(values: Sequence[int], circuit: Sequence[AuxArc]) -> FlowValues:
+def apply_dicircuit(values: Sequence[int], circuit: Sequence[ResidualArc]) -> FlowValues:
     """Push one unit around a residual di-circuit.
 
     Feasibility of the result is guaranteed by the residual
@@ -154,8 +157,8 @@ def apply_dicircuit(values: Sequence[int], circuit: Sequence[AuxArc]) -> FlowVal
 
 
 def build_potential_vector(
-    aux: AuxDigraph, cost: LevelCost
-) -> PotentialVector | tuple[AuxArc, ...]:
+    aux: CostedResidual, cost: LevelCost
+) -> PotentialVector | tuple[ResidualArc, ...]:
     """A feasible potential-vector, or the improving circuit refuting it.
 
     Level by level: scalar shortest distances under that level's +-1
@@ -197,7 +200,7 @@ def build_potential_vector(
 
 
 def _first_infeasible_arc(
-    aux: AuxDigraph, cost: LevelCost, potential: PotentialVector
+    aux: CostedResidual, cost: LevelCost, potential: PotentialVector
 ) -> int | None:
     """Index of the first arc violating the lexicographic inequality."""
     for idx, arc in enumerate(aux.arcs):
@@ -211,7 +214,7 @@ def _first_infeasible_arc(
 
 
 def potential_is_feasible(
-    aux: AuxDigraph, cost: LevelCost, potential: PotentialVector
+    aux: CostedResidual, cost: LevelCost, potential: PotentialVector
 ) -> bool:
     """Arc-by-arc lexicographic feasibility of a potential-vector."""
     return _first_infeasible_arc(aux, cost, potential) is None

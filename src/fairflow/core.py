@@ -24,6 +24,16 @@ from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 FlowValues = tuple[int, ...]
 
 
+def _ints(values: Iterable, field: str) -> tuple[int, ...]:
+    """The values as a tuple, each required to be an int (bools rejected)."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:  # plain ints skip the loop
+        for i, x in enumerate(values):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise TypeError(f"{field}[{i}] must be an int, got {x!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Directed multigraph with dense 0-based edge ids.
@@ -37,10 +47,11 @@ class Digraph:
     def __post_init__(self):
         if self.node_count <= 0:
             raise ValueError("node_count must be positive")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
-        for eid, (u, v) in enumerate(self.edges):
+        edges = tuple((u, v) for u, v in self.edges)
+        _ints((u for u, _ in edges), "edge tails")
+        _ints((v for _, v in edges), "edge heads")
+        object.__setattr__(self, "edges", edges)
+        for eid, (u, v) in enumerate(edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"edge {eid} endpoints ({u}, {v}) out of range")
 
@@ -85,10 +96,10 @@ class FlowProblem:
         upper = tuple(as_extint(b) for b in self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "supply", tuple(int(s) for s in self.supply))
+        object.__setattr__(self, "supply", _ints(self.supply, "supply"))
         object.__setattr__(self, "focus", frozenset(self.focus))
         if self.cost is not None:
-            object.__setattr__(self, "cost", tuple(int(c) for c in self.cost))
+            object.__setattr__(self, "cost", _ints(self.cost, "cost"))
             if len(self.cost) != m:
                 raise ValueError("cost must have one entry per edge")
         if len(lower) != m or len(upper) != m:
@@ -251,69 +262,64 @@ def is_feasible(problem: FlowProblem, values: Sequence[int]) -> bool:
 # -- residual digraph ------------------------------------------------------
 
 
-def _edge_residual_arcs(problem: FlowProblem, values: Sequence[int], e: int) -> list:
-    """Residual arcs (tail, head, capacity, origin, forward) of edge e.
+@dataclass(frozen=True)
+class ResidualArc:
+    """One arc of the residual digraph of a flow.
 
-    Forward (the edge can grow) before backward (it can shrink).  Finite
-    capacities are plain ints, unbounded ones +inf.
+    Forward arcs (the edge can grow, value below upper) carry the edge
+    cost; backward arcs (it can shrink, value above lower) carry the
+    negated cost.  Present iff capacity > 0.  The capacity is a plain
+    int, or +inf on an unbounded arc.
     """
+
+    tail: int
+    head: int
+    capacity: int | ExtInt
+    cost: int
+    origin: int
+    forward: bool
+
+
+@dataclass(frozen=True)
+class CostedResidual:
+    """Residual digraph of a flow: arcs in edge-id order, forward before backward."""
+
+    node_count: int
+    arcs: tuple[ResidualArc, ...]
+
+
+def _edge_residual_arcs(
+    problem: FlowProblem, values: Sequence[int], cost: Sequence[int], e: int
+) -> list[ResidualArc]:
+    """Residual arcs of edge e, forward before backward."""
     u, v = problem.graph.edges[e]
     z, lo, hi = values[e], problem.lower[e], problem.upper[e]
     arcs = []
     if not hi.is_finite:
-        arcs.append((u, v, POS_INF, e, True))
+        arcs.append(ResidualArc(u, v, POS_INF, cost[e], e, True))
     elif z < hi.finite:
-        arcs.append((u, v, hi.finite - z, e, True))
+        arcs.append(ResidualArc(u, v, hi.finite - z, cost[e], e, True))
     if not lo.is_finite:
-        arcs.append((v, u, POS_INF, e, False))
+        arcs.append(ResidualArc(v, u, POS_INF, -cost[e], e, False))
     elif z > lo.finite:
-        arcs.append((v, u, z - lo.finite, e, False))
+        arcs.append(ResidualArc(v, u, z - lo.finite, -cost[e], e, False))
     return arcs
 
 
-def _residual_arcs(problem: FlowProblem, values: Sequence[int]):
-    """Residual arcs of a flow in edge-id order, as in _edge_residual_arcs."""
-    for e in range(problem.edge_count):
-        yield from _edge_residual_arcs(problem, values, e)
+def build_costed_residual(
+    problem: FlowProblem, values: Sequence[int], cost: Sequence[int] | None = None
+) -> CostedResidual:
+    """Residual digraph of a feasible flow with signed costs.
 
-
-@dataclass(frozen=True)
-class AuxArc:
-    """One residual arc: forward if the edge can grow, backward if it can shrink."""
-
-    tail: int
-    head: int
-    forward: bool
-    origin: int
-
-
-@dataclass(frozen=True)
-class AuxDigraph:
-    """Residual digraph of a feasible flow.
-
-    Arcs appear in edge-id order, forward before backward per edge.
-    focus_forward / focus_backward hold arc indices whose origin edge
-    lies in the problem's focus set.
+    Uses ``problem.cost`` when no explicit cost vector is given; absent
+    both, costs are zero.
     """
-
-    node_count: int
-    arcs: tuple[AuxArc, ...]
-    focus_forward: frozenset[int]
-    focus_backward: frozenset[int]
-
-
-def build_aux_digraph(problem: FlowProblem, values: Sequence[int]) -> AuxDigraph:
-    arcs = tuple(
-        AuxArc(tail, head, forward, e)
-        for tail, head, _, e, forward in _residual_arcs(problem, values)
-    )
-    in_focus = [i for i, arc in enumerate(arcs) if arc.origin in problem.focus]
-    return AuxDigraph(
-        problem.node_count,
-        arcs,
-        frozenset(i for i in in_focus if arcs[i].forward),
-        frozenset(i for i in in_focus if not arcs[i].forward),
-    )
+    if cost is None:
+        cost = problem.cost or (0,) * problem.edge_count
+    arcs = []
+    for e in range(problem.edge_count):
+        arcs += _edge_residual_arcs(problem, values, cost, e)
+    return CostedResidual(problem.node_count, tuple(arcs))
 
 
 # -- the fairness (dec-min) order ----------------------------------------

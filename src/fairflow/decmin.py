@@ -28,7 +28,7 @@ from .existence import finitize_bounds
 from .extint import ExtInt, as_extint
 from .maxflow import require_feasible
 from .mincost import min_cost_mflow
-from .newton import BetaResult, NDTrace, compute_beta
+from .newton import NDTrace, compute_beta
 from .upper_min import Chain, solve_upper_minimizer
 
 
@@ -126,32 +126,28 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
     upper = problem.upper
     focus = set(problem.focus)
     rounds: list[ReductionRound] = []
-    while True:
-        current = problem.with_bounds(lower, upper).with_focus(focus)
-        removed = tuple(current.tight_edges(within=focus))
+    while focus:
+        # compute_beta first drops the focus edges that are already tight
+        beta_result = compute_beta(problem.with_bounds(lower, upper).with_focus(focus))
+        upper = beta_result.clamped_upper
+        removed = beta_result.removed_tight_edges
         focus.difference_update(removed)
-        if focus:
-            beta_result: BetaResult = compute_beta(current.with_focus(focus))
-            upper = beta_result.clamped_upper
-            focus.difference_update(beta_result.removed_tight_edges)
-            removed += beta_result.removed_tight_edges
         if not focus:
             # beta is None exactly when every focus edge turned tight
-            if removed:
-                rounds.append(
-                    ReductionRound(
-                        beta=None,
-                        g_capped=upper,
-                        level_set=frozenset(),
-                        chain=None,
-                        f_prime=lower,
-                        g_prime=upper,
-                        narrowed=frozenset(),
-                        focus_next=frozenset(),
-                        removed_tight=removed,
-                        nd_trace=None,
-                    )
+            rounds.append(
+                ReductionRound(
+                    beta=None,
+                    g_capped=upper,
+                    level_set=frozenset(),
+                    chain=None,
+                    f_prime=lower,
+                    g_prime=upper,
+                    narrowed=frozenset(),
+                    focus_next=frozenset(),
+                    removed_tight=removed,
+                    nd_trace=None,
                 )
+            )
             break
         clamped = problem.with_bounds(lower, upper).with_focus(focus)
         level_set = beta_result.saturated_level_set

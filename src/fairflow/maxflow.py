@@ -1,17 +1,25 @@
 """Max-flow primitive, Hoffman feasibility, and the parametric cut subroutine.
 
-The engine is plain shortest-augmenting-path (BFS) max flow.  On top of
-it sit three reductions:
+The engine is plain shortest-augmenting-path (BFS) max flow.  Besides
+max_flow, one network serves three reductions: the feasibility network
+of a problem's graph and supplies under bounds (lower, upper).
 
-* find_feasible_mflow: find an integral feasible flow for a bounded
-  modular-flow problem, or a node set certifying infeasibility.
+* find_feasible_mflow: an integral feasible flow, or a node set
+  certifying infeasibility.
 * most_violating_set: the node set maximizing the Hoffman deficiency
   supply(Z) - in_upper(Z) + out_lower(Z), feasible or not.
-* nd_cut_subroutine: minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z)
-  over node sets, the oracle the ratio-maximization driver needs.
+* nd_cut_subroutine: minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z),
+  the oracle of the Newton driver.  This is minus the deficiency under
+  the bounds (lower, g' + mu on L).
 
-All three return deterministic answers: the cut side is always the
-source-reachable set of the final residual network.
+Why one network answers all three.  Edge e starts at a finite point b
+of its bounds, and node excesses supply - in_b + out_b become sink arcs
+(positive, summing to D) or source arcs (negative).  The cut with sink
+side Z then has capacity D - supply(Z) + in_upper(Z) - out_lower(Z) =
+D - deficiency(Z).  A cut through an infinite arc costs more than D,
+so it is never minimal.  After any max flow the source-reachable set is
+the smallest source side of a minimum cut, so its complement is the
+union of all deficiency maximizers, whatever the augmentation order.
 
 Residual capacities are plain ints.  Each network replaces +inf by a
 finite surrogate B = 1 + (total capacity of its super-source arcs).
@@ -29,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency
+from .core import Digraph, FlowProblem, FlowValues, _deficiency, imbalances
 from .errors import InfeasibleError
 from .extint import ExtInt, POS_INF, as_extint
 
@@ -154,36 +162,36 @@ def max_flow(
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _feasibility_network(problem: FlowProblem):
-    """Super-source/super-sink network whose max flow decides feasibility.
+def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence):
+    """Max flow on the super-source/super-sink network under (lower, upper).
 
-    Returns (net, source, sink, demand_total, base).  Edge e starts at a
-    finite point base[e] of its bounds; arc 2e may raise it to its upper
-    bound and the reverse arc 2e+1 may lower it to its lower bound.
+    Returns (net, value, demand_total, base, sink_side).  Edge e starts
+    at a finite point base[e] of its bounds; arc 2e may raise it to its
+    upper bound and the reverse arc 2e+1 may lower it to its lower
+    bound.  sink_side is the complement of the source-reachable set.
     """
     n = problem.node_count
     source, sink = n, n + 1
     net = _Residual(n + 2)
     base = []
-    excess = list(problem.supply)
     for e, (u, v) in enumerate(problem.graph.edges):
-        lo, hi = problem.lower[e], problem.upper[e]
+        lo, hi = lower[e], upper[e]
         b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
         base.append(b)
-        excess[v] -= b
-        excess[u] += b
         up = hi.finite - b if hi.is_finite else None
         down = b - lo.finite if lo.is_finite else None
         net.add_pair(u, v, up, down)
     demand_total = 0
-    for v, r in enumerate(excess):
+    for v, inflow in enumerate(imbalances(problem.graph, base)):
+        r = problem.supply[v] - inflow
         if r > 0:
             net.add_pair(v, sink, r)
             demand_total += r
         elif r < 0:
             net.add_pair(source, v, -r)
     net.resolve(demand_total + 1)
-    return net, source, sink, demand_total, base
+    value, reach = net.max_flow(source, sink)
+    return net, value, demand_total, base, frozenset(range(n)) - reach
 
 
 def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
@@ -192,13 +200,12 @@ def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
     Exactly one of the two outcomes is returned: a flow passing
     check_flow, or a CutCertificate with deficiency > 0.
     """
-    net, source, sink, demand_total, base = _feasibility_network(problem)
-    value, reach = net.max_flow(source, sink)
+    net, value, demand_total, base, violating = _feasibility_network(
+        problem, problem.lower, problem.upper
+    )
     if value == demand_total:
         return tuple(base[e] + net.pushed(2 * e) for e in range(len(base)))
-    violating = frozenset(range(problem.node_count)) - reach
-    deficiency = hoffman_deficiency(problem, violating)
-    return CutCertificate(violating, deficiency.finite)
+    return CutCertificate(violating, hoffman_deficiency(problem, violating).finite)
 
 
 def most_violating_set(problem: FlowProblem) -> CutCertificate:
@@ -208,11 +215,8 @@ def most_violating_set(problem: FlowProblem) -> CutCertificate:
     > 0 exactly when no feasible flow exists.  Ties are resolved by the
     complement of the source-reachable min-cut side.
     """
-    net, source, sink, _, _ = _feasibility_network(problem)
-    _, reach = net.max_flow(source, sink)
-    nodes = frozenset(range(problem.node_count)) - reach
-    deficiency = hoffman_deficiency(problem, nodes)
-    return CutCertificate(nodes, deficiency.finite)
+    *_, nodes = _feasibility_network(problem, problem.lower, problem.upper)
+    return CutCertificate(nodes, hoffman_deficiency(problem, nodes).finite)
 
 
 def require_feasible(problem: FlowProblem) -> FlowValues:
@@ -238,51 +242,20 @@ def nd_cut_subroutine(
 ) -> tuple[frozenset[int], int]:
     """Minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z) over node sets.
 
-    Requires mu >= 0 and g' >= lower.  The empty set scores 0, so the
-    minimum is always <= 0.  Infinite-capacity terms make the offending
-    sets infinitely bad and are simply never selected.
-
-    The objective is an s-t cut function in disguise: each edge
-    contributes a capacitated arc plus node charges, and the node
-    charges become source/sink arcs.  The returned set is the sink side
-    of the minimum cut (complement of the source-reachable set).
+    Requires mu >= 0, one g' value per edge and g' >= lower.  The empty
+    set scores 0, so the minimum is always <= 0.  Solved on the
+    feasibility network under (lower, g' + mu on L); the returned set is
+    the union of all minimizers (module docstring).
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
+    if len(g_prime) != problem.edge_count:
+        raise ValueError("g_prime must have one entry per edge")
     g_prime = [as_extint(g) for g in g_prime]
     for e, g in enumerate(g_prime):
         if g < problem.lower[e]:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
     level = set(level_edges)
-    n = problem.node_count
-    source, sink = n, n + 1
-    net = _Residual(n + 2)
-    # charge[v] accumulates the linear node terms of the objective
-    charge = [-s for s in problem.supply]
-    for e, (u, v) in enumerate(problem.graph.edges):
-        lo, g = problem.lower[e], g_prime[e]
-        w = g.finite + (mu if e in level else 0) if g.is_finite else None
-        if lo.is_finite:
-            net.add_pair(u, v, None if w is None else w - lo.finite)
-            charge[v] += lo.finite
-            charge[u] -= lo.finite
-        elif w is not None:
-            # lower = -inf: leaving Z is forbidden, entering costs w
-            net.add_pair(v, u, None)
-            charge[v] += w
-            charge[u] -= w
-        else:
-            # lower = -inf and weight = +inf: crossing either way is forbidden
-            net.add_pair(u, v, None)
-            net.add_pair(v, u, None)
-    shift = 0
-    for v in range(n):
-        if charge[v] > 0:
-            net.add_pair(source, v, charge[v])
-        elif charge[v] < 0:
-            net.add_pair(v, sink, -charge[v])
-            shift += -charge[v]
-    net.resolve(1 + sum(c for c in charge if c > 0))
-    value, reach = net.max_flow(source, sink)
-    nodes = frozenset(range(n)) - reach
-    return nodes, value - shift
+    raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
+    _, value, demand_total, _, nodes = _feasibility_network(problem, problem.lower, raised)
+    return nodes, value - demand_total

@@ -7,62 +7,25 @@ both directions: start from any feasible flow, cancel negative residual
 cycles until none remain, then the potentials fall out for free.
 
 Costs are restricted to integers so all arithmetic is exact.  The
-residual digraph comes from the same per-edge rule as core's AuxDigraph:
-finite residual capacities are plain ints; only unbounded arcs carry +inf.
+residual digraph is core's CostedResidual, shared with the fairness
+certificates; finite capacities are plain ints, unbounded arcs +inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, _edge_residual_arcs, _residual_arcs
+# build_costed_residual is re-exported: callers import it from here too.
+from .core import (
+    CostedResidual,
+    FlowProblem,
+    FlowValues,
+    ResidualArc,
+    _edge_residual_arcs,
+    build_costed_residual,
+)
 from .errors import NegativeCycleError, UnboundedCostError
-from .extint import ExtInt, POS_INF
+from .extint import POS_INF
 from .maxflow import require_feasible
-
-
-@dataclass(frozen=True)
-class ResidualArc:
-    """A costed residual arc.
-
-    Forward arcs (value below upper) carry the edge cost; backward arcs
-    (value above lower) carry the negated cost.  Present iff capacity > 0.
-    The capacity is a plain int, or +inf on an unbounded arc.
-    """
-
-    tail: int
-    head: int
-    capacity: int | ExtInt
-    cost: int
-    origin: int
-    forward: bool
-
-
-@dataclass(frozen=True)
-class CostedResidual:
-    node_count: int
-    arcs: tuple[ResidualArc, ...]
-
-
-def _costed(arc: tuple, cost: Sequence[int]) -> ResidualArc:
-    tail, head, capacity, e, forward = arc
-    return ResidualArc(tail, head, capacity, cost[e] if forward else -cost[e], e, forward)
-
-
-def build_costed_residual(
-    problem: FlowProblem, values: Sequence[int], cost: Sequence[int] | None = None
-) -> CostedResidual:
-    """Residual digraph of a feasible flow with signed costs.
-
-    Uses ``problem.cost`` when no explicit cost vector is given; absent
-    both, costs are zero.
-    """
-    if cost is None:
-        cost = problem.cost or (0,) * problem.edge_count
-    arcs = tuple(_costed(arc, cost) for arc in _residual_arcs(problem, values))
-    return CostedResidual(problem.node_count, arcs)
 
 
 def _scalar_bf(residual: CostedResidual):
@@ -127,9 +90,8 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
 
     def rebuild(e: int) -> None:
         slots[2 * e] = slots[2 * e + 1] = None
-        for arc in _edge_residual_arcs(problem, values, e):
-            costed = _costed(arc, cost)
-            slots[2 * e + (not costed.forward)] = costed
+        for arc in _edge_residual_arcs(problem, values, cost, e):
+            slots[2 * e + (not arc.forward)] = arc
 
     for e in range(problem.edge_count):
         rebuild(e)

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues
+from .core import Digraph, FlowProblem, FlowValues, build_costed_residual
 from .errors import InternalCertificateFailure
 from .extint import as_extint
 from .maxflow import hoffman_deficiency, require_feasible
-from .mincost import build_costed_residual, min_cost_mflow, residual_potentials
+from .mincost import min_cost_mflow, residual_potentials
 
 
 @dataclass(frozen=True)
@@ -137,26 +137,27 @@ def extract_chain_from_duals(
     """Optimal dual chain from the residual of an optimal extended flow.
 
     Potentials are shortest distances in the costed residual (raises
-    NegativeCycleError when the flow is not optimal).  The orientation
-    whose complementary slackness holds is kept, levels are compressed
-    to consecutive integers with minimum zero, and the chain collects
-    the upper level sets of every positive level.  An all-zero
-    potential yields the empty chain.
+    NegativeCycleError when the flow is not optimal), compressed to
+    consecutive levels from zero; the chain collects the upper level
+    sets of every positive level (none for an all-zero potential).
+
+    Complementary slackness holds by construction: residual potentials
+    give y(v) - y(u) <= c on an edge u->v below its upper bound and
+    >= c on one above its lower bound, and with costs c in {0, 1} the
+    compression, which keeps each difference's sign and never enlarges
+    it, preserves both.  _slackness_holds re-checks this.
     """
     residual = build_costed_residual(pcp.extended, extended_values)
-    potentials = residual_potentials(residual)
-    for oriented in (potentials, [-p for p in potentials]):
-        y = _compress_levels(oriented)
-        if _slackness_holds(pcp.extended, extended_values, y):
-            top = max(y)
-            return Chain(
-                tuple(
-                    frozenset(v for v in range(pcp.base.node_count) if y[v] >= i)
-                    for i in range(1, top + 1)
-                )
-            )
-    raise InternalCertificateFailure(
-        "no orientation of the residual potentials satisfies complementary slackness"
+    y = _compress_levels(residual_potentials(residual))
+    if not _slackness_holds(pcp.extended, extended_values, y):
+        raise InternalCertificateFailure(
+            "residual potentials violate complementary slackness"
+        )
+    return Chain(
+        tuple(
+            frozenset(v for v in range(pcp.base.node_count) if y[v] >= i)
+            for i in range(1, max(y) + 1)
+        )
     )
 
 

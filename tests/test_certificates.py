@@ -6,7 +6,6 @@ from fairflow import (
     InfiniteBoundsError,
     PotentialVector,
     apply_dicircuit,
-    build_aux_digraph,
     build_level_cost,
     build_potential_vector,
     check_flow,

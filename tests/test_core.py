@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,8 @@ from fairflow import (
     Digraph,
     FlowProblem,
     boundary_sums,
-    build_aux_digraph,
+    build_costed_residual,
+    build_level_cost,
     check_flow,
     decmin_compare,
     focus_profile,
@@ -44,6 +46,22 @@ class TestProblemValidation:
     def test_lower_above_upper(self):
         with pytest.raises(ValueError):
             build(2, [(0, 1)], [2], [1], [0, 0])
+
+    @pytest.mark.parametrize(
+        "field, edges, supply, cost",
+        [
+            ("supply[0]", [(0, 1)], [-1.7, 1.7], None),
+            ("supply[1]", [(0, 1)], [-1, "1"], None),
+            ("supply[0]", [(0, 1)], [True, -1], None),
+            ("cost[0]", [(0, 1)], [0, 0], [2.5]),
+            ("cost[0]", [(0, 1)], [0, 0], [False]),
+            ("edge heads[0]", [(0, 1.0)], [0, 0], None),
+            ("edge tails[0]", [(True, 1)], [0, 0], None),
+        ],
+    )
+    def test_non_int_values_rejected(self, field, edges, supply, cost):
+        with pytest.raises(TypeError, match=re.escape(field)):
+            build(2, edges, [0], [1], supply, cost=cost)
 
     def test_infinities_on_wrong_side(self):
         with pytest.raises(ValueError):
@@ -98,25 +116,26 @@ class TestCheckFlow:
             check_flow(diamond, (1, 1))
 
 
-class TestAuxDigraph:
+class TestCostedResidual:
     def test_all_tight_means_no_arcs(self):
         problem = build(2, [(0, 1)], [1], [1], [-1, 1])
-        aux = build_aux_digraph(problem, (1,))
-        assert aux.arcs == ()
+        residual = build_costed_residual(problem, (1,))
+        assert residual.arcs == ()
 
     def test_interior_value_gives_both_arcs(self):
         problem = build(2, [(0, 1)], [0], [2], [-1, 1], focus=[0])
-        aux = build_aux_digraph(problem, (1,))
-        assert len(aux.arcs) == 2
-        forward, backward = aux.arcs
+        residual = build_costed_residual(problem, (1,))
+        assert len(residual.arcs) == 2
+        forward, backward = residual.arcs
         assert forward.forward and (forward.tail, forward.head) == (0, 1)
         assert not backward.forward and (backward.tail, backward.head) == (1, 0)
-        assert aux.focus_forward == {0} and aux.focus_backward == {1}
+        _, cost = build_level_cost(problem, (1,))
+        assert cost.arc_sign == (1, -1)
 
     def test_diamond_interior_count(self, diamond):
-        aux = build_aux_digraph(diamond, (1, 1, 1, 1))
-        assert len(aux.arcs) == 8
-        assert sum(1 for a in aux.arcs if a.forward) == 4
+        residual = build_costed_residual(diamond, (1, 1, 1, 1))
+        assert len(residual.arcs) == 8
+        assert sum(1 for a in residual.arcs if a.forward) == 4
 
     def test_arc_count_formula_random(self):
         rng = random.Random(11)
@@ -125,12 +144,12 @@ class TestAuxDigraph:
             from fairflow import find_feasible_mflow
 
             flow = find_feasible_mflow(problem)
-            aux = build_aux_digraph(problem, flow)
+            residual = build_costed_residual(problem, flow)
             expected = sum(
                 (flow[e] < problem.upper[e]) + (flow[e] > problem.lower[e])
                 for e in range(problem.edge_count)
             )
-            assert len(aux.arcs) == expected
+            assert len(residual.arcs) == expected
 
 
 class TestDecminCompare:

@@ -210,3 +210,37 @@ class TestNdCutSubroutine:
                 if (score := self.objective(loose, level, upper, mu, subset)).is_finite
             ]
             assert value == min(finite_scores)
+
+    def test_returns_union_of_minimizers_random(self):
+        # the set feeds NDTrace.argmax, so ties must break the same way
+        # every time: towards the largest minimizer
+        from fairflow import NEG_INF
+
+        rng = random.Random(37)
+        for _ in range(80):
+            problem = random_problem(rng, max_nodes=5, feasible=False)
+            lower = [NEG_INF if rng.random() < 0.3 else b for b in problem.lower]
+            upper = [POS_INF if rng.random() < 0.2 else b for b in problem.upper]
+            loose = problem.with_bounds(lower, upper)
+            g_prime = [
+                POS_INF if rng.random() < 0.2
+                else (lo + rng.randint(0, 2) if lo.is_finite else ExtInt(rng.randint(-3, 3)))
+                for lo in lower
+            ]
+            level = {e for e in range(loose.edge_count) if rng.random() < 0.4}
+            mu = rng.randint(0, 2)
+            nodes, value = nd_cut_subroutine(loose, level, g_prime, mu)
+            minimizers = [
+                subset
+                for subset in all_subsets(loose.node_count)
+                if self.objective(loose, level, g_prime, mu, subset) == value
+            ]
+            assert nodes == set().union(*minimizers)
+            raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
+            assert nodes == most_violating_set(loose.with_bounds(upper=raised)).nodes
+
+    def test_rejects_wrong_g_prime_length(self):
+        problem = build(2, [(0, 1)], [0], [3], [0, 0])
+        for g_prime in ((), (ExtInt(1), ExtInt(1))):
+            with pytest.raises(ValueError, match="one entry per edge"):
+                nd_cut_subroutine(problem, set(), g_prime, 0)
