@@ -68,47 +68,6 @@ def _adjacency(node_count: int, arcs: tuple[InfArc, ...]) -> _Adjacency:
     return out
 
 
-def _strongly_connected_components(out: _Adjacency) -> list[int]:
-    """Component id per node (Kosaraju, iterative)."""
-    node_count = len(out)
-    rev: list[list[int]] = [[] for _ in range(node_count)]
-    for arcs in out:
-        for arc in arcs:
-            rev[arc.head].append(arc.tail)
-    order: list[int] = []
-    seen = [False] * node_count
-    for root in range(node_count):
-        if seen[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen[root] = True
-        while stack:
-            node, i = stack.pop()
-            if i < len(out[node]):
-                stack.append((node, i + 1))
-                nxt = out[node][i].head
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-    comp = [-1] * node_count
-    label = 0
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        stack2 = [root]
-        comp[root] = label
-        while stack2:
-            node = stack2.pop()
-            for nxt in rev[node]:
-                if comp[nxt] == -1:
-                    comp[nxt] = label
-                    stack2.append(nxt)
-        label += 1
-    return comp
-
-
 def _search(out: _Adjacency, start: int, goal: int = -1) -> dict[int, InfArc | None]:
     """BFS map from each node reached to its arc (None at start); stops at goal."""
     prev: dict[int, InfArc | None] = {start: None}
@@ -128,7 +87,7 @@ def _path(out: _Adjacency, start: int, goal: int) -> list[InfArc]:
     prev = _search(out, start, goal)
     if goal not in prev:
         raise InternalCertificateFailure(
-            f"no path from {start} to {goal} inside one strong component"
+            f"no path from {start} to {goal} although the search reached it"
         )
     path = []
     node = goal
@@ -145,20 +104,19 @@ def exists_decmin(problem: FlowProblem) -> ExistenceResult:
 
     Looks for a di-circuit of the unboundedness digraph through a focus
     edge: the focus edges that can appear on one are exactly the
-    forward arcs with focus origin, so it suffices to test whether such
-    an arc has both endpoints in one strongly connected component.  The
-    witness closes the first qualifying arc (in edge-id order) with a
-    shortest return path.
+    forward arcs with focus origin, and such an arc u->v lies on one
+    iff v reaches u.  The witness closes the first such arc (in edge-id
+    order) with a shortest return path.  One search per focus edge with
+    lower bound -inf costs O(k(n+m)), the order of the searches
+    finitize_bounds runs anyway, so narrow_box keeps its order.
     """
     arcs = infinity_digraph(problem)
     out = _adjacency(problem.node_count, arcs)
-    comp = _strongly_connected_components(out)
     for arc in arcs:
         if arc.reversed_ or arc.origin not in problem.focus:
             continue
-        if comp[arc.tail] == comp[arc.head]:
-            circuit = (arc, *_path(out, arc.head, arc.tail))
-            return ExistenceResult(False, circuit)
+        if arc.tail in _search(out, arc.head, arc.tail):
+            return ExistenceResult(False, (arc, *_path(out, arc.head, arc.tail)))
     return ExistenceResult(True, None)
 
 

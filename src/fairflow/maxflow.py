@@ -20,6 +20,8 @@ D - deficiency(Z).  A cut through an infinite arc costs more than D,
 so it is never minimal.  After any max flow the source-reachable set is
 the smallest source side of a minimum cut, so its complement is the
 union of all deficiency maximizers, whatever the augmentation order.
+Its deficiency is therefore D - value, read off the flow value rather
+than recounted over the boundary.
 
 Residual capacities are plain ints.  Each network replaces +inf by a
 finite surrogate B = 1 + (total capacity of its super-source arcs).
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .core import Digraph, FlowProblem, FlowValues, _deficiency, imbalances
 from .errors import InfeasibleError
-from .extint import ExtInt, POS_INF, as_extint
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,12 @@ def max_flow(
 def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence):
     """Max flow on the super-source/super-sink network under (lower, upper).
 
-    Returns (net, value, demand_total, base, sink_side).  Edge e starts
-    at a finite point base[e] of its bounds; arc 2e may raise it to its
-    upper bound and the reverse arc 2e+1 may lower it to its lower
-    bound.  sink_side is the complement of the source-reachable set.
+    Returns (net, base, sink_side, deficiency).  Edge e starts at a
+    finite point base[e] of its bounds; arc 2e may raise it to its upper
+    bound and the reverse arc 2e+1 may lower it to its lower bound.
+    sink_side is the complement of the source-reachable set, and its
+    deficiency is demand_total - value (module docstring): zero exactly
+    when the flow is feasible.
     """
     n = problem.node_count
     source, sink = n, n + 1
@@ -191,7 +195,7 @@ def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence)
             net.add_pair(source, v, -r)
     net.resolve(demand_total + 1)
     value, reach = net.max_flow(source, sink)
-    return net, value, demand_total, base, frozenset(range(n)) - reach
+    return net, base, frozenset(range(n)) - reach, demand_total - value
 
 
 def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
@@ -200,12 +204,12 @@ def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
     Exactly one of the two outcomes is returned: a flow passing
     check_flow, or a CutCertificate with deficiency > 0.
     """
-    net, value, demand_total, base, violating = _feasibility_network(
+    net, base, violating, deficiency = _feasibility_network(
         problem, problem.lower, problem.upper
     )
-    if value == demand_total:
+    if deficiency == 0:
         return tuple(base[e] + net.pushed(2 * e) for e in range(len(base)))
-    return CutCertificate(violating, hoffman_deficiency(problem, violating).finite)
+    return CutCertificate(violating, deficiency)
 
 
 def most_violating_set(problem: FlowProblem) -> CutCertificate:
@@ -215,8 +219,8 @@ def most_violating_set(problem: FlowProblem) -> CutCertificate:
     > 0 exactly when no feasible flow exists.  Ties are resolved by the
     complement of the source-reachable min-cut side.
     """
-    *_, nodes = _feasibility_network(problem, problem.lower, problem.upper)
-    return CutCertificate(nodes, hoffman_deficiency(problem, nodes).finite)
+    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, problem.upper)
+    return CutCertificate(nodes, deficiency)
 
 
 def require_feasible(problem: FlowProblem) -> FlowValues:
@@ -242,7 +246,8 @@ def nd_cut_subroutine(
 ) -> tuple[frozenset[int], int]:
     """Minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z) over node sets.
 
-    Requires mu >= 0, one g' value per edge and g' >= lower.  The empty
+    Requires mu >= 0, one g' value per edge, g' >= lower and g' > -inf
+    (a -inf entry would make the objective unbounded below).  The empty
     set scores 0, so the minimum is always <= 0.  Solved on the
     feasibility network under (lower, g' + mu on L); the returned set is
     the union of all minimizers (module docstring).
@@ -253,9 +258,11 @@ def nd_cut_subroutine(
         raise ValueError("g_prime must have one entry per edge")
     g_prime = [as_extint(g) for g in g_prime]
     for e, g in enumerate(g_prime):
+        if g == NEG_INF:
+            raise ValueError(f"g_prime must be finite or +inf (edge {e})")
         if g < problem.lower[e]:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
     level = set(level_edges)
     raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
-    _, value, demand_total, _, nodes = _feasibility_network(problem, problem.lower, raised)
-    return nodes, value - demand_total
+    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, raised)
+    return nodes, -deficiency

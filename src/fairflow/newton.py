@@ -7,9 +7,12 @@ computation of the smallest integer cap beta such that clamping the
 focus edges' upper bounds at beta keeps the problem feasible.
 
 The driver only needs an argmax oracle for p(X) - mu*b(X); here that
-oracle is a single min-cut computation.  The iteration count is bounded
-by the largest b-value: the tentative mu values strictly increase while
-the b-values of the maximizers strictly decrease.
+oracle is one min-cut probe, which returns X with its score mu*b(X) -
+p(X), so p = mu*b - score.  The probe at mu = 0 is the failed drop's
+own feasibility network, so that drop's certificate answers it.  The
+iteration count is bounded by the largest b-value: the tentative mu
+values strictly increase while the b-values of the maximizers strictly
+decrease.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import FlowProblem, _deficiency
+from .core import FlowProblem
 from .errors import AssumptionViolatedError
 from .extint import ExtInt, as_extint
 from .maxflow import (
@@ -142,28 +145,28 @@ def compute_beta(problem: FlowProblem) -> BetaResult:
         dropped = list(upper)
         for e in level:
             dropped[e] = as_extint(beta1)
-        trial = problem.with_bounds(upper=dropped)
-        if not isinstance(find_feasible_mflow(trial), CutCertificate):
+        cut = find_feasible_mflow(problem.with_bounds(upper=dropped))
+        if not isinstance(cut, CutCertificate):
             upper = dropped
             strip_tight()
             continue
 
         # The drop is infeasible: find the smallest good raise mu over the
         # dropped bounds; beta = beta1 + mu.
-        g_prime = tuple(dropped)
         level_set = frozenset(level)
+        level_ends = [problem.graph.edges[e] for e in level]
 
         def oracle(mu: int) -> tuple[frozenset[int], int, int]:
-            nodes, _ = nd_cut_subroutine(problem, level_set, g_prime, mu)
-            p = _deficiency(problem, lower, g_prime, nodes).finite
-            b = sum(1 for e in problem.graph.entering(nodes) if e in level_set)
-            return nodes, p, b
+            if mu == 0:  # the network the failed drop has just solved
+                nodes, value = cut.nodes, -cut.deficiency
+            else:
+                nodes, value = nd_cut_subroutine(problem, level_set, dropped, mu)
+            b = sum(1 for u, v in level_ends if v in nodes and u not in nodes)
+            return nodes, mu * b - value, b
 
         mu_min, trace = nd_min_good_mu(oracle, m_bound=problem.edge_count)
         beta = beta1 + mu_min
         for e in level:
             upper[e] = as_extint(beta)
-        return BetaResult(
-            beta, tuple(upper), level_set, tuple(removed), trace
-        )
+        return BetaResult(beta, tuple(upper), level_set, tuple(removed), trace)
     return BetaResult(None, tuple(upper), frozenset(), tuple(removed), None)

@@ -244,3 +244,12 @@ class TestNdCutSubroutine:
         for g_prime in ((), (ExtInt(1), ExtInt(1))):
             with pytest.raises(ValueError, match="one entry per edge"):
                 nd_cut_subroutine(problem, set(), g_prime, 0)
+
+    def test_rejects_minus_infinite_g_prime(self):
+        # with g' = -inf on edge 0->1, Z = {1} scores -inf: no finite minimum
+        from fairflow import NEG_INF
+
+        problem = build(2, [(0, 1)], ["-inf"], ["+inf"], [0, 0])
+        with pytest.raises(ValueError, match="edge 0"):
+            nd_cut_subroutine(problem, set(), (NEG_INF,), 0)
+        assert nd_cut_subroutine(problem, set(), (POS_INF,), 0) == ({0, 1}, 0)

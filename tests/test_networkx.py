@@ -18,7 +18,9 @@ from fairflow import (
     FlowProblem,
     NEG_INF,
     check_flow,
+    compute_beta,
     decmin_flow,
+    exists_decmin,
     find_feasible_mflow,
     focus_profile,
     hoffman_deficiency,
@@ -36,15 +38,15 @@ def random_edges(rng, n, m):
     return tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
 
 
-def random_problem(rng, n, m, focus_share, inf_share):
+def random_problem(rng, n, m, focus_share, inf_share, width=6):
     """A feasible instance: supplies are the imbalances of a point in the box.
 
-    Non-focus edges get a +inf upper or a -inf lower bound with
-    probability inf_share each.
+    Boxes are up to width wide.  Non-focus edges get a +inf upper or a
+    -inf lower bound with probability inf_share each.
     """
     edges = random_edges(rng, n, m)
     lower = [rng.randint(-3, 3) for _ in range(m)]
-    upper = [lo + rng.randint(0, 6) for lo in lower]
+    upper = [lo + rng.randint(0, width) for lo in lower]
     point = [rng.randint(lower[e], upper[e]) for e in range(m)]
     focus = frozenset(e for e in range(m) if rng.random() < focus_share)
     lo = [ExtInt(b) for b in lower]
@@ -217,3 +219,110 @@ def test_box_and_profile_invariant_under_edge_permutation():
         assert focus_profile(problem, decmin_flow(problem)) == focus_profile(
             shuffled, decmin_flow(shuffled)
         )
+
+
+# -- (d) the smallest feasible cap ----------------------------------------------
+
+
+def check_beta(problem):
+    """Check compute_beta on a feasible problem; return its mu > 0 iterations.
+
+    beta is relative to the state compute_beta reaches: its clamped
+    bounds, with the edges that went tight on the way out of the focus.
+    """
+    result = compute_beta(problem)
+    if result.beta is None:
+        return 0
+    beta, upper = result.beta, result.clamped_upper
+    focus = problem.focus - set(result.removed_tight_edges)
+
+    def clamped(cap):
+        return problem.with_bounds(
+            upper=[min(g, ExtInt(cap)) if e in focus else g for e, g in enumerate(upper)]
+        )
+
+    assert networkx_feasible(clamped(beta))
+    below = clamped(beta - 1)
+    assert any(below.lower[e] > below.upper[e] for e in focus) or (
+        not networkx_feasible(below)
+    )
+    if result.nd_trace is None:
+        return 0
+    level = result.saturated_level_set
+    g_prime = [
+        ExtInt(beta - result.nd_trace.mu_min) if e in level else g
+        for e, g in enumerate(upper)
+    ]
+    dropped = problem.with_bounds(upper=g_prime)
+    for it in result.nd_trace.iterations:
+        assert hoffman_deficiency(dropped, it.argmax) == it.p_value
+        assert it.b_value == len(level.intersection(problem.graph.entering(it.argmax)))
+    return sum(1 for it in result.nd_trace.iterations if it.mu > 0)
+
+
+def test_compute_beta_against_networkx_feasibility():
+    rng = random.Random(404)
+    for m in SIZES:
+        for focus_share in (0.3, 1.0):
+            n = rng.randint(m // 8, m // 3)
+            check_beta(random_problem(rng, n, m, focus_share, 0.2))
+    # probes past mu = 0 show up in later rounds of wide boxes, so
+    # also check compute_beta on every state the reduction loop reaches
+    later = 0
+    for m in (50, 100):
+        problem = random_problem(rng, m // 3, m, 1.0, 0.0, width=100)
+        state = problem
+        for round_ in narrow_box(problem)[1]:
+            later += check_beta(state)
+            state = problem.with_bounds(round_.f_prime, round_.g_prime)
+            state = state.with_focus(round_.focus_next)
+    assert later > 0
+
+
+# -- existence of a fair flow under infinite bounds -----------------------------
+
+
+def test_exists_decmin_against_networkx_reachability():
+    rng = random.Random(505)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(20, 100)
+        m = rng.randint(n, 400)
+        edges = random_edges(rng, n, m - 2) + tuple((v, v) for v in rng.sample(range(n), 2))
+        inf_share = rng.choice((0.02, 0.05, 0.1, 0.3))
+        focus = frozenset(e for e in range(m) if rng.random() < 0.5)
+        lower = tuple(NEG_INF if rng.random() < inf_share else ExtInt(0) for _ in range(m))
+        upper = tuple(POS_INF if rng.random() < inf_share else ExtInt(5) for _ in range(m))
+        problem = FlowProblem(Digraph(n, edges), lower, upper, (0,) * n, focus)
+        unbounded = nx.DiGraph()
+        unbounded.add_nodes_from(range(n))
+        for e, (u, v) in enumerate(edges):
+            if lower[e] == NEG_INF:
+                unbounded.add_edge(u, v)
+            if e not in focus and upper[e] == POS_INF:
+                unbounded.add_edge(v, u)
+        closing = [
+            e
+            for e, (u, v) in enumerate(edges)
+            if e in focus and lower[e] == NEG_INF and nx.has_path(unbounded, v, u)
+        ]
+        result = exists_decmin(problem)
+        verdicts.add(result.exists)
+        assert result.exists == (not closing)
+        if result.exists:
+            assert result.witness is None
+            continue
+        first = result.witness[0]
+        assert (first.origin, first.reversed_) == (closing[0], False)
+        for arc, nxt in zip(result.witness, result.witness[1:] + result.witness[:1]):
+            u, v = edges[arc.origin]
+            if arc.reversed_:
+                assert arc.origin not in focus and upper[arc.origin] == POS_INF
+                assert (arc.tail, arc.head) == (v, u)
+            else:
+                assert lower[arc.origin] == NEG_INF
+                assert (arc.tail, arc.head) == (u, v)
+            assert arc.head == nxt.tail
+        u, v = edges[first.origin]
+        assert len(result.witness) == 1 + nx.shortest_path_length(unbounded, v, u)
+    assert verdicts == {True, False}
