@@ -94,7 +94,7 @@ def _load_json(path: str, what: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise ProblemFormatError(what, f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProblemFormatError(what, f"invalid JSON in {path}: {exc}")
 
 

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from .core import FlowProblem, FlowValues
 from .errors import InternalCertificateFailure
 from .existence import finitize_bounds
-from .extint import ExtInt, as_extint
+from .extint import ExtInt
 from .maxflow import require_feasible
 from .mincost import min_cost_mflow
 from .newton import NDTrace, compute_beta
-from .upper_min import Chain, solve_upper_minimizer
+from .upper_min import Chain, _chain_window, solve_upper_minimizer
 
 
 @dataclass(frozen=True)
@@ -77,40 +77,23 @@ def apply_round_bounds(
 ) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], frozenset[int]]:
     """Rewrite bounds from the chain geometry.
 
-    Cap-level edges: entering two or more chain members pins them at
-    beta, entering exactly one narrows them to [beta-1, beta], leaving a
-    member pins them at their lower bound, crossing nothing caps them at
-    beta-1.  Other edges: entering pins at upper, leaving pins at lower,
-    otherwise untouched.  Returns (f', g', narrowed) where narrowed
-    holds the cap-level edges entering at least one member.
+    Every cap-level edge must sit at beta.  (f', g') are the windows of
+    the criteria (O1)-(O5), upper_min._chain_window: a cap-level edge
+    entering two or more chain members is pinned at beta, entering one
+    narrowed to [beta-1, beta], crossing nothing capped at beta-1; any
+    other edge entering a member is pinned at its upper bound, and any
+    edge leaving one at its lower bound.  Returns (f', g', narrowed),
+    where narrowed holds the cap-level edges entering a member,
+    collected in edge-id order.
     """
-    f_prime = list(problem.lower)
-    g_prime = list(problem.upper)
-    narrowed = set()
-    for e, (u, v) in enumerate(problem.graph.edges):
-        entered = chain.entered_count(u, v)
-        leaves = chain.leaves_any(u, v)
-        if e in level_set:
-            if problem.upper[e] != beta:
-                raise InternalCertificateFailure(
-                    f"cap-level edge {e} must sit at beta {beta}"
-                )
-            if entered >= 2:
-                f_prime[e] = g_prime[e] = as_extint(beta)
-            elif entered == 1:
-                f_prime[e] = as_extint(beta - 1)
-            elif leaves:
-                g_prime[e] = problem.lower[e]
-            else:
-                g_prime[e] = as_extint(beta - 1)
-            if entered >= 1:
-                narrowed.add(e)
-        else:
-            if entered >= 1:
-                f_prime[e] = problem.upper[e]
-            elif leaves:
-                g_prime[e] = problem.lower[e]
-    return tuple(f_prime), tuple(g_prime), frozenset(narrowed)
+    for e in sorted(level_set):
+        if problem.upper[e] != beta:
+            raise InternalCertificateFailure(
+                f"cap-level edge {e} must sit at beta {beta}"
+            )
+    f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
+    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
+    return f_prime, g_prime, narrowed
 
 
 def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, ...]]:
@@ -130,40 +113,25 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
         # compute_beta first drops the focus edges that are already tight
         beta_result = compute_beta(problem.with_bounds(lower, upper).with_focus(focus))
         upper = beta_result.clamped_upper
-        removed = beta_result.removed_tight_edges
-        focus.difference_update(removed)
-        if not focus:
-            # beta is None exactly when every focus edge turned tight
-            rounds.append(
-                ReductionRound(
-                    beta=None,
-                    g_capped=upper,
-                    level_set=frozenset(),
-                    chain=None,
-                    f_prime=lower,
-                    g_prime=upper,
-                    narrowed=frozenset(),
-                    focus_next=frozenset(),
-                    removed_tight=removed,
-                    nd_trace=None,
-                )
-            )
-            break
-        clamped = problem.with_bounds(lower, upper).with_focus(focus)
+        focus.difference_update(beta_result.removed_tight_edges)
         level_set = beta_result.saturated_level_set
-        _, chain, count = solve_upper_minimizer(clamped, level_set)
-        if count == 0:
-            raise InternalCertificateFailure(
-                "no flow reaches the cap even though the cap is minimal"
+        # every focus edge turned tight (beta None): a last round, no chain
+        chain, f_prime, g_prime, narrowed = None, lower, upper, frozenset()
+        if focus:
+            clamped = problem.with_bounds(lower, upper).with_focus(focus)
+            _, chain, count = solve_upper_minimizer(clamped, level_set)
+            if count == 0:
+                raise InternalCertificateFailure(
+                    "no flow reaches the cap even though the cap is minimal"
+                )
+            f_prime, g_prime, narrowed = apply_round_bounds(
+                clamped, beta_result.beta, level_set, chain
             )
-        f_prime, g_prime, narrowed = apply_round_bounds(
-            clamped, beta_result.beta, level_set, chain
-        )
-        if not narrowed:
-            raise InternalCertificateFailure(
-                "round narrowed no edge; the reduction would not terminate"
-            )
-        focus -= narrowed
+            if not narrowed:
+                raise InternalCertificateFailure(
+                    "round narrowed no edge; the reduction would not terminate"
+                )
+            focus -= narrowed
         rounds.append(
             ReductionRound(
                 beta=beta_result.beta,
@@ -174,7 +142,7 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
                 g_prime=g_prime,
                 narrowed=narrowed,
                 focus_next=frozenset(focus),
-                removed_tight=removed,
+                removed_tight=beta_result.removed_tight_edges,
                 nd_trace=beta_result.nd_trace,
             )
         )

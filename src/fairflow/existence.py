@@ -10,7 +10,9 @@ fair flow exists iff no such circuit does.
 
 When one exists the circuit is returned as a witness; when none does,
 the bounds can be made finite on the focus set without changing the set
-of fair flows, after which the finite-bound machinery applies.
+of fair flows, after which the finite-bound machinery applies.  Both
+answers come from one search per focus edge with lower bound -inf
+(_focus_regions).
 """
 
 from __future__ import annotations
@@ -57,24 +59,11 @@ def infinity_digraph(problem: FlowProblem) -> tuple[InfArc, ...]:
     return tuple(arcs)
 
 
-_Adjacency = list[list[InfArc]]
-
-
-def _adjacency(node_count: int, arcs: tuple[InfArc, ...]) -> _Adjacency:
-    """Outgoing arcs per node, in arc order."""
-    out: _Adjacency = [[] for _ in range(node_count)]
-    for arc in arcs:
-        out[arc.tail].append(arc)
-    return out
-
-
-def _search(out: _Adjacency, start: int, goal: int = -1) -> dict[int, InfArc | None]:
-    """BFS map from each node reached to its arc (None at start); stops at goal."""
+def _search(out: list[list[InfArc]], start: int) -> dict[int, InfArc | None]:
+    """BFS map from each node reached to the arc first reaching it (None at start)."""
     prev: dict[int, InfArc | None] = {start: None}
     queue = [start]
     for node in queue:  # also visits the nodes appended below
-        if node == goal:
-            break
         for arc in out[node]:
             if arc.head not in prev:
                 prev[arc.head] = arc
@@ -82,21 +71,33 @@ def _search(out: _Adjacency, start: int, goal: int = -1) -> dict[int, InfArc | N
     return prev
 
 
-def _path(out: _Adjacency, start: int, goal: int) -> list[InfArc]:
-    """Shortest arc path start -> goal (empty when equal)."""
-    prev = _search(out, start, goal)
-    if goal not in prev:
-        raise InternalCertificateFailure(
-            f"no path from {start} to {goal} although the search reached it"
-        )
-    path = []
-    node = goal
-    while node != start:
-        arc = prev[node]
-        path.append(arc)
-        node = arc.tail
-    path.reverse()
-    return path
+def _focus_regions(problem: FlowProblem) -> tuple[tuple[InfArc, ...] | None, dict]:
+    """One search per focus edge u->v with lower bound -inf, in edge-id order.
+
+    The region of the edge is what v reaches.  Returns (witness,
+    regions): the witness is the first edge whose region holds u, closed
+    by the search's shortest path back to u; when no region holds its
+    edge's tail, the witness is None and regions maps every such edge id
+    to its region.  O(k(n+m)) for k such edges.
+    """
+    arcs = infinity_digraph(problem)
+    out: list[list[InfArc]] = [[] for _ in range(problem.node_count)]
+    for arc in arcs:
+        out[arc.tail].append(arc)
+    regions = {}
+    for arc in arcs:
+        if arc.reversed_ or arc.origin not in problem.focus:
+            continue
+        region = _search(out, arc.head)
+        if arc.tail in region:
+            path = []
+            node = arc.tail
+            while node != arc.head:
+                path.append(region[node])
+                node = path[-1].tail
+            return (arc, *reversed(path)), regions
+        regions[arc.origin] = region
+    return None, regions
 
 
 def exists_decmin(problem: FlowProblem) -> ExistenceResult:
@@ -106,18 +107,11 @@ def exists_decmin(problem: FlowProblem) -> ExistenceResult:
     edge: the focus edges that can appear on one are exactly the
     forward arcs with focus origin, and such an arc u->v lies on one
     iff v reaches u.  The witness closes the first such arc (in edge-id
-    order) with a shortest return path.  One search per focus edge with
-    lower bound -inf costs O(k(n+m)), the order of the searches
-    finitize_bounds runs anyway, so narrow_box keeps its order.
+    order) with a shortest return path.  finitize_bounds reads its
+    implied bounds off the regions of these same searches.
     """
-    arcs = infinity_digraph(problem)
-    out = _adjacency(problem.node_count, arcs)
-    for arc in arcs:
-        if arc.reversed_ or arc.origin not in problem.focus:
-            continue
-        if arc.tail in _search(out, arc.head, arc.tail):
-            return ExistenceResult(False, (arc, *_path(out, arc.head, arc.tail)))
-    return ExistenceResult(True, None)
+    witness, _ = _focus_regions(problem)
+    return ExistenceResult(witness is None, witness)
 
 
 def shift_along_witness(values, circuit: tuple[InfArc, ...]) -> FlowValues:
@@ -134,17 +128,18 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
     The set of fair flows is preserved exactly.  Upper bounds on focus
     edges are capped at the largest component of any one feasible flow;
     each -inf focus lower bound is replaced by the implied finite bound
-    read off the unboundedness-digraph reachable set of its head.
-    Identity when the focus bounds are already finite.
+    read off the unboundedness-digraph reachable set of its head, found
+    by the searches that decide existence.  Identity when the focus
+    bounds are already finite.
 
-    Requires a fair flow to exist (NoDecMinError otherwise) and a
-    feasible problem (InfeasibleError propagates).
+    Requires a fair flow to exist (NoDecMinError with exists_decmin's
+    witness, checked first) and a feasible problem (InfeasibleError).
     """
     if problem.finite_on_focus():
         return problem
-    result = exists_decmin(problem)
-    if not result.exists:
-        raise NoDecMinError(witness=result.witness)
+    witness, regions = _focus_regions(problem)
+    if witness is not None:
+        raise NoDecMinError(witness=witness)
     sample = require_feasible(problem)
 
     upper = list(problem.upper)
@@ -152,21 +147,11 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
         cap = max(sample)
         for e in sorted(problem.focus):
             upper[e] = ext_min(problem.upper[e], cap)
-    capped = problem.with_bounds(upper=upper)
 
-    out = _adjacency(problem.node_count, infinity_digraph(problem))
     lower = list(problem.lower)
-    for e in sorted(problem.focus):
-        if problem.lower[e].is_finite:
-            continue
-        tail, head = problem.graph.edges[e]
-        region = frozenset(_search(out, head))
-        if tail in region:
-            raise InternalCertificateFailure(
-                f"edge {e} closes an unboundedness circuit missed by the existence test"
-            )
-        # e enters the region, so its own upper bound is taken back out
-        implied = _deficiency(capped, lower, upper, region) + upper[e]
+    for e, region in regions.items():
+        # e enters its region, so its own upper bound is taken back out
+        implied = _deficiency(problem, lower, upper, region) + upper[e]
         if not implied.is_finite or implied > upper[e]:
             raise InternalCertificateFailure(
                 f"implied bound {implied} on edge {e} is not usable"

@@ -90,10 +90,6 @@ class ExtInt:
             return NotImplemented
         return self._cmp(other) == 0
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return self._cmp(other) < 0
 
@@ -133,8 +129,3 @@ def as_extint(value) -> ExtInt:
 def ext_min(a, b) -> ExtInt:
     a, b = as_extint(a), as_extint(b)
     return a if a <= b else b
-
-
-def ext_max(a, b) -> ExtInt:
-    a, b = as_extint(a), as_extint(b)
-    return a if a >= b else b

@@ -14,7 +14,9 @@ residual, compressed to consecutive integer levels, cut out the chain.
 
 Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
-always indicates a bug, never a property of the input.
+always indicates a bug, never a property of the input.  The criteria
+are one window per edge (_chain_window), which reduction rounds reuse
+as their rewritten bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .core import Digraph, FlowProblem, FlowValues, build_costed_residual
 from .errors import InternalCertificateFailure
-from .extint import as_extint
+from .extint import ExtInt, as_extint
 from .maxflow import hoffman_deficiency, require_feasible
 from .mincost import min_cost_mflow, residual_potentials
 
@@ -164,6 +166,42 @@ def extract_chain_from_duals(
 # -- optimality criteria ----------------------------------------------------
 
 
+def _chain_window(
+    problem: FlowProblem, level: frozenset[int], chain: Chain
+) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], tuple[str | None, ...]]:
+    """Per edge, the window [lower, upper] the chain leaves, and its criterion.
+
+    (O1) an edge leaving any member gets [lower, lower];
+    (O2) a non-counted edge entering one gets [upper, upper];
+    (O3) a counted edge entering exactly one gets [upper-1, upper];
+    (O4) a counted edge entering two or more gets [upper, upper];
+    (O5) a counted edge crossing nothing gets [lower, upper-1];
+    every other edge keeps its bounds, with criterion None.
+
+    Exactly one case applies: no edge u->v both enters a member Vi
+    (v in Vi, u not) and leaves a member Vj (u in Vj, v not), since
+    nesting puts v in Vj when Vi <= Vj and u in Vi when Vj <= Vi.
+    """
+    lower = list(problem.lower)
+    upper = list(problem.upper)
+    criteria: list[str | None] = [None] * problem.edge_count
+    for e, (u, v) in enumerate(problem.graph.edges):
+        # lower[e] and upper[e] still hold the problem's bounds here
+        entered = chain.entered_count(u, v)
+        if chain.leaves_any(u, v):
+            criteria[e], upper[e] = "O1", lower[e]
+        elif e not in level:
+            if entered:
+                criteria[e], lower[e] = "O2", upper[e]
+        elif entered == 1:
+            criteria[e], lower[e] = "O3", upper[e] - 1
+        elif entered:
+            criteria[e], lower[e] = "O4", upper[e]
+        else:
+            criteria[e], upper[e] = "O5", upper[e] - 1
+    return tuple(lower), tuple(upper), tuple(criteria)
+
+
 def verify_O1_O5(
     problem: FlowProblem,
     level_edges: Iterable[int],
@@ -172,32 +210,16 @@ def verify_O1_O5(
 ) -> list[str]:
     """Check the five saturation-optimality criteria; empty list means pass.
 
-    (O1) edges leaving any chain member sit at their lower bound;
-    (O2) non-counted edges entering a member sit at their upper bound;
-    (O3) counted edges entering exactly one member are within one of it;
-    (O4) counted edges entering two or more members sit at it;
-    (O5) counted edges not crossing the chain stay strictly below it.
+    Each edge with a criterion must lie in the window _chain_window
+    gives it; one message per edge outside, starting with the label of
+    the criterion it violates.
     """
-    level = frozenset(level_edges)
-    violations: list[str] = []
-    for e, (u, v) in enumerate(problem.graph.edges):
-        entered = chain.entered_count(u, v)
-        leaves = chain.leaves_any(u, v)
-        z = values[e]
-        lo, hi = problem.lower[e], problem.upper[e]
-        if leaves and z != lo:
-            violations.append(f"O1: edge {e} leaves a chain member but {z} != {lo}")
-        if e not in level:
-            if entered >= 1 and z != hi:
-                violations.append(f"O2: edge {e} enters a member but {z} != {hi}")
-            continue
-        if entered == 1 and not (hi - 1 <= z <= hi):
-            violations.append(f"O3: edge {e} enters one member but {z} not in [{hi - 1}, {hi}]")
-        if entered >= 2 and z != hi:
-            violations.append(f"O4: edge {e} enters {entered} members but {z} != {hi}")
-        if entered == 0 and not leaves and not (lo <= z <= hi - 1):
-            violations.append(f"O5: edge {e} avoids the chain but {z} not in [{lo}, {hi - 1}]")
-    return violations
+    lower, upper, criteria = _chain_window(problem, frozenset(level_edges), chain)
+    return [
+        f"{label}: edge {e} has value {values[e]}, outside [{lower[e]}, {upper[e]}]"
+        for e, label in enumerate(criteria)
+        if label is not None and not lower[e] <= values[e] <= upper[e]
+    ]
 
 
 def chain_dual_value(

@@ -220,6 +220,21 @@ class TestExitCodes:
         assert code == 2
         assert "flow" in err and "not feasible" in err
 
+    @pytest.mark.parametrize("role", ["problem", "flow"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["undecodable", "deeply-nested"]
+    )
+    def test_unreadable_file_is_input_error(self, capsys, tmp_path, asym_file, role, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        if role == "problem":
+            code, out, err = run(capsys, "decmin", str(path))
+        else:
+            code, out, err = run(capsys, "verify", asym_file, "--flow", str(path))
+        assert code == 2
+        assert "internal-error" not in out
+        assert str(path) in err
+
     @pytest.mark.parametrize(
         "error", [InternalCertificateFailure("broken chain"), ValueError("no path")]
     )

@@ -5,6 +5,7 @@ import pytest
 from fairflow import (
     ExtInt,
     NEG_INF,
+    NoDecMinError,
     POS_INF,
     check_flow,
     decmin_compare,
@@ -14,6 +15,7 @@ from fairflow import (
     finitize_bounds,
     focus_profile,
     infinity_digraph,
+    narrow_box,
     shift_along_witness,
 )
 from fairflow.maxflow import CutCertificate
@@ -198,15 +200,20 @@ class TestFinitize:
             assert focus_profile(finite, flow) == profile
             tested += 1
 
-
-class TestPath:
-    def test_missing_path_is_an_internal_failure(self):
-        from fairflow import InternalCertificateFailure
-        from fairflow.existence import InfArc, _adjacency, _path
-
-        arc = InfArc(0, 1, 0, False)
-        out = _adjacency(2, (arc,))
-        assert _path(out, 0, 1) == [arc]
-        assert _path(out, 1, 1) == []
-        with pytest.raises(InternalCertificateFailure):
-            _path(out, 1, 0)
+    def test_no_decmin_error_carries_the_existence_witness(self):
+        rng = random.Random(139)
+        tested = infeasible = 0
+        while tested < 40 or infeasible < 5:
+            base = random_problem(rng, max_nodes=5, max_edges=8, feasible=None)
+            problem = sprinkle_infinities(rng, base)
+            result = exists_decmin(problem)
+            if result.exists:
+                continue
+            # the missing fair flow is reported even when no flow exists at all
+            if isinstance(find_feasible_mflow(problem), CutCertificate):
+                infeasible += 1
+            for solve in (finitize_bounds, narrow_box, decmin_flow):
+                with pytest.raises(NoDecMinError) as caught:
+                    solve(problem)
+                assert caught.value.witness == result.witness
+            tested += 1

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairflow import ExtInt, InfinityClashError, NEG_INF, POS_INF, as_extint
-from fairflow.extint import ext_max, ext_min
+from fairflow.extint import ext_min
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 extints = st.one_of(
@@ -41,7 +41,6 @@ def test_mixed_arithmetic():
     assert 7 - NEG_INF == POS_INF
     assert -NEG_INF == POS_INF
     assert ext_min(POS_INF, 4) == 4
-    assert ext_max(NEG_INF, -4) == -4
 
 
 def test_rejects_non_ints():
