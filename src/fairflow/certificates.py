@@ -184,13 +184,14 @@ def build_potential_vector(
             for pos, i in enumerate(active)
             if dist[heads[pos]] - dist[tails[pos]] == weights[pos]
         ]
-    potential = PotentialVector(
-        cost.dimension,
-        tuple(
-            tuple(components[lvl][v] for lvl in range(cost.dimension))
-            for v in range(aux.node_count)
-        ),
-    )
+    # equal rows share one tuple: many nodes often get the same vector,
+    # and callers may keep many certificates
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    values = []
+    for v in range(aux.node_count):
+        row = tuple(components[lvl][v] for lvl in range(cost.dimension))
+        values.append(rows.setdefault(row, row))
+    potential = PotentialVector(cost.dimension, tuple(values))
     bad = _first_infeasible_arc(aux, cost, potential)
     if bad is not None:
         raise InternalCertificateFailure(

@@ -318,9 +318,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, output = _run(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         payload = {"status": "infeasible", "message": str(exc)}
         if exc.certificate is not None:
@@ -334,8 +331,10 @@ def main(argv=None) -> int:
             payload["witness_circuit"] = [_inf_arc_payload(a) for a in exc.witness]
         print(json.dumps(payload, indent=2))
         return 1
-    except (LimitExceededError, InfiniteBoundsError, UnboundedCostError) as exc:
-        # the instance is outside what the command accepts
+    except (
+        ProblemFormatError, LimitExceededError, InfiniteBoundsError, UnboundedCostError
+    ) as exc:
+        # the input is malformed, or the instance is outside what the command accepts
         print(json.dumps({"status": "error", "message": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 2

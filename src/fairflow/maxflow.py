@@ -1,8 +1,11 @@
 """Max-flow primitive, Hoffman feasibility, and the parametric cut subroutine.
 
-The engine is plain shortest-augmenting-path (BFS) max flow.  Besides
-max_flow, one network serves three reductions: the feasibility network
-of a problem's graph and supplies under bounds (lower, upper).
+The engine is Dinic's blocking-flow algorithm (Dinitz 1970): each phase
+labels the nodes by breadth-first distance from the source and saturates
+every shortest augmenting path, so a solve takes at most n - 1 phases of
+O(nm) each, O(n^2 m) in all, strongly polynomial.  Besides max_flow, one
+network serves three reductions: the feasibility network of a problem's
+graph and supplies under bounds (lower, upper).
 
 * find_feasible_mflow: an integral feasible flow, or a node set
   certifying infeasibility.
@@ -19,19 +22,20 @@ side Z then has capacity D - supply(Z) + in_upper(Z) - out_lower(Z) =
 D - deficiency(Z).  A cut through an infinite arc costs more than D,
 so it is never minimal.  After any max flow the source-reachable set is
 the smallest source side of a minimum cut, so its complement is the
-union of all deficiency maximizers, whatever the augmentation order.
-Its deficiency is therefore D - value, read off the flow value rather
-than recounted over the boundary.
+union of all deficiency maximizers, whichever maximum flow the engine
+finds.  Its deficiency is therefore D - value, read off the flow value
+rather than recounted over the boundary.
 
 Residual capacities are plain ints.  Each network replaces +inf by a
 finite surrogate B = 1 + (total capacity of its super-source arcs).
 That is exact: every source arc is finite, so every augmenting path has
-a bottleneck of at most that total, which is below B.  A surrogate arc
-therefore never saturates, residual positivity is the same at every
-step as with +inf, and the paths, the flow value and the returned cut
-set are the same step for step.  The public max_flow, whose source
-edges may be infinite, first looks for an all-infinite source-sink path
-and otherwise uses B = 1 + (sum of the finite capacities).
+a bottleneck of at most that total, which is below B, and every arc
+carries at most the flow value.  A surrogate arc therefore never
+saturates, residual positivity is the same at every step as with +inf,
+and the levels, the paths, the flow value and the returned cut set are
+the same step for step.  The public max_flow, whose source edges may
+be infinite, first looks for an all-infinite source-sink path and
+otherwise uses B = 1 + (sum of the finite capacities).
 """
 
 from __future__ import annotations
@@ -90,44 +94,77 @@ class _Residual:
         """Net flow pushed along arc aid."""
         return self.cap[aid] - self.res[aid]
 
-    def search(self, source: int, sink: int = -1, least: int = 1) -> dict[int, int]:
-        """Breadth-first search over arcs with residual >= least.
+    def levels(self, source: int, sink: int = -1, least: int = 1) -> list[int]:
+        """Breadth-first distance from the source over arcs with residual >= least.
 
-        Maps each node reached to the arc it came by (-1 at the source);
-        stops once the sink is dequeued.
+        Unreached nodes get -1.  The search stops once the sink is
+        labelled; otherwise the labelled nodes are the whole
+        source-reachable set.
         """
         head, res, adj = self.head, self.res, self.adj
-        prev = {source: -1}
+        level = [-1] * len(adj)
+        level[source] = 0
         queue = [source]
         for u in queue:  # also visits the nodes appended below
-            if u == sink:
-                break
+            d = level[u] + 1
             for aid in adj[u]:
-                v = head[aid]
-                if v not in prev and res[aid] >= least:
-                    prev[v] = aid
-                    queue.append(v)
-        return prev
+                if res[aid] >= least:
+                    v = head[aid]
+                    if level[v] < 0:
+                        level[v] = d
+                        if v == sink:
+                            return level
+                        queue.append(v)
+        return level
 
-    def max_flow(self, source: int, sink: int) -> tuple[int, set[int]]:
-        """Run augmenting paths to exhaustion; return (value, reachable set)."""
-        head, res = self.head, self.res
+    def max_flow(self, source: int, sink: int) -> tuple[int, list[int]]:
+        """Dinic's algorithm; return (value, levels of the final search).
+
+        Each phase labels the nodes by distance from the source and then
+        saturates every shortest path by depth-first search, keeping one
+        current arc per node and dropping dead ends from the level graph.
+        The nodes with a final level >= 0 are the source-reachable set of
+        the final residual.
+        """
+        head, res, adj = self.head, self.res, self.adj
         total = 0
         while True:
-            prev = self.search(source, sink)
-            if sink not in prev:
-                return total, set(prev)
-            path = []
-            v = sink
-            while v != source:
-                aid = prev[v]
-                path.append(aid)
-                v = head[aid ^ 1]
-            delta = min(res[aid] for aid in path)
-            for aid in path:
-                res[aid] -= delta
-                res[aid ^ 1] += delta
-            total += delta
+            level = self.levels(source, sink)
+            if level[sink] < 0:
+                return total, level
+            current = [0] * len(adj)
+            path: list[int] = []  # arcs from the source to u
+            u = source
+            while True:
+                if u == sink:
+                    delta = min([res[aid] for aid in path])
+                    for aid in path:
+                        res[aid] -= delta
+                        res[aid ^ 1] += delta
+                    total += delta
+                    # go back to the tail of the first saturated arc
+                    for i, aid in enumerate(path):
+                        if not res[aid]:
+                            break
+                    del path[i:]
+                    u = head[aid ^ 1]
+                    continue
+                arcs, i, want = adj[u], current[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    aid = arcs[i]
+                    if res[aid] and level[head[aid]] == want:
+                        break
+                    i += 1
+                current[u] = i
+                if i < end:
+                    path.append(aid)
+                    u = head[aid]
+                elif path:  # dead end: leave the level graph
+                    level[u] = -1
+                    u = head[path.pop() ^ 1]
+                else:  # the source is a dead end: the flow is blocking
+                    break
 
 
 def max_flow(
@@ -135,13 +172,21 @@ def max_flow(
 ) -> tuple[ExtInt, FlowValues, frozenset[int]]:
     """Integral max flow from source to sink under edge capacities.
 
-    Capacities may be ints or ExtInt (+inf allowed) and must be >= 0.
+    One capacity per edge; capacities may be ints or ExtInt (+inf
+    allowed) and must be >= 0.  Source and sink are distinct nodes.
     Returns (value, flow per edge, min-cut source side).  The cut is the
     source-reachable set of the final residual network; its capacity
     equals the flow value.  When an all-infinite source-sink path exists
     the value is +inf, no flow is pushed, and the set holds the nodes
     reachable from the source along infinite edges (sink included).
     """
+    if len(capacities) != graph.edge_count:
+        raise ValueError(
+            f"expected {graph.edge_count} capacities, got {len(capacities)}"
+        )
+    for name, node in (("source", source), ("sink", sink)):
+        if node not in range(graph.node_count):
+            raise ValueError(f"{name} {node} is not a node of the graph")
     if source == sink:
         raise ValueError("source and sink must differ")
     caps = [as_extint(cap) for cap in capacities]
@@ -153,12 +198,14 @@ def max_flow(
         net.add_pair(u, v, cap.finite if cap.is_finite else None)
     infinity = 1 + sum(c for c in net.cap if c is not None)
     net.resolve(infinity)
-    along_infinite = net.search(source, least=infinity)
-    if sink in along_infinite:
-        return POS_INF, (0,) * graph.edge_count, frozenset(along_infinite)
-    value, reach = net.max_flow(source, sink)
-    flow = tuple(net.pushed(2 * e) for e in range(graph.edge_count))
-    return ExtInt(value), flow, frozenset(reach)
+    level = net.levels(source, least=infinity)
+    if level[sink] >= 0:
+        value, flow = POS_INF, (0,) * graph.edge_count
+    else:
+        finite, level = net.max_flow(source, sink)
+        value = ExtInt(finite)
+        flow = tuple(net.pushed(2 * e) for e in range(graph.edge_count))
+    return value, flow, frozenset(v for v, d in enumerate(level) if d >= 0)
 
 
 # -- Hoffman feasibility -------------------------------------------------
@@ -194,8 +241,9 @@ def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence)
         elif r < 0:
             net.add_pair(source, v, -r)
     net.resolve(demand_total + 1)
-    value, reach = net.max_flow(source, sink)
-    return net, base, frozenset(range(n)) - reach, demand_total - value
+    value, level = net.max_flow(source, sink)
+    sink_side = frozenset(v for v in range(n) if level[v] < 0)
+    return net, base, sink_side, demand_total - value
 
 
 def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:

@@ -182,9 +182,10 @@ class TestErrors:
         path.write_text(json.dumps({"nodes": 2, "supply": [0, 0], "edges": [
             {"tail": 0, "head": 5, "lower": 0, "upper": 1, "inF": False}
         ]}))
-        code, _, err = run(capsys, "decmin", str(path))
+        code, out, err = run(capsys, "decmin", str(path))
         assert code == 2
         assert "edges[0].head" in err
+        assert json.loads(out)["status"] == "error"
 
     def test_input_flag_alternative(self, capsys, asym_file):
         code, out, _ = run(capsys, "decmin", "--input", asym_file)
@@ -233,6 +234,7 @@ class TestExitCodes:
             code, out, err = run(capsys, "verify", asym_file, "--flow", str(path))
         assert code == 2
         assert "internal-error" not in out
+        assert json.loads(out)["status"] == "error"
         assert str(path) in err
 
     @pytest.mark.parametrize(

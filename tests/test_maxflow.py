@@ -53,6 +53,26 @@ class TestMaxFlow:
         assert value == POS_INF
         assert 1 in cut  # "cut" reaches the sink: no finite cut exists
 
+    def test_rejects_source_outside_graph(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="source -1 is not a node"):
+            max_flow(g, (1, 1), -1, 2)
+
+    def test_rejects_sink_outside_graph(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="sink 3 is not a node"):
+            max_flow(g, (1, 1), 0, 3)
+
+    def test_rejects_extra_capacities(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="expected 2 capacities, got 3"):
+            max_flow(g, (1, 1, 5), 0, 2)
+
+    def test_rejects_short_capacities(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="expected 2 capacities, got 1"):
+            max_flow(g, (1,), 0, 2)
+
     def test_value_equals_cut_capacity_random(self):
         rng = random.Random(3)
         for _ in range(60):

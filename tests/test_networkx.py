@@ -1,7 +1,7 @@
 """Differential and metamorphic checks beyond the oracle's 10-edge cap.
 
 networkx is a test-only dependency: the module is skipped without it.
-Instances have 50 to 400 edges, so they exercise the max-flow engine,
+Instances have 50 to 1000 edges, so they exercise the max-flow engine,
 its finite stand-in for +inf and the reduction loop at sizes the
 enumeration oracle cannot reach.
 """
@@ -64,9 +64,33 @@ def random_problem(rng, n, m, focus_share, inf_share, width=6):
 # -- (a) max flow value and min cut ------------------------------------------
 
 
-def test_max_flow_matches_networkx():
-    rng = random.Random(101)
-    outcomes = set()
+def layered_edges(rng, layers, width):
+    """Unit-capacity layers between source 0 and sink n - 1.
+
+    Each node has one arc into the next layer, two inside its layer, one
+    back into the layer before and one into a leaf (a node without
+    out-arcs).  Forward arcs collide, so the flow has to detour sideways
+    and backwards on ever longer paths, phase after phase, and the leaves
+    are dead ends in every level graph.
+    """
+    layer = [[1 + k * width + i for i in range(width)] for k in range(layers)]
+    leaves = [1 + layers * width + i for i in range(width)]
+    sink = leaves[-1] + 1
+    edges = [(0, v) for v in layer[0]] + [(u, sink) for u in layer[-1]]
+    for k in range(layers):
+        for u in layer[k]:
+            if k + 1 < layers:
+                edges.append((u, rng.choice(layer[k + 1])))
+            edges += [(u, rng.choice(layer[k])), (u, rng.choice(layer[k]))]
+            if k:
+                edges.append((u, rng.choice(layer[k - 1])))
+            edges.append((u, rng.choice(leaves)))
+    return sink + 1, tuple(edges)
+
+
+def max_flow_cases(rng):
+    """(n, edges, capacities): random graphs with +inf capacities, layered
+    unit graphs, and graphs made of parallel and antiparallel arc bundles."""
     for m in SIZES:
         for inf_share in (0.0, 0.1, 0.4):
             n = rng.randint(m // 8, m // 3)
@@ -75,39 +99,78 @@ def test_max_flow_matches_networkx():
                 POS_INF if rng.random() < inf_share else rng.randint(0, 20)
                 for _ in range(m)
             ]
-            reference = nx.DiGraph()
-            reference.add_nodes_from(range(n))
-            for (u, v), cap in zip(edges, caps):
-                if u == v:
-                    continue
-                if not reference.has_edge(u, v):
-                    reference.add_edge(u, v, capacity=0)
-                data = reference.edges[u, v]
-                if cap == POS_INF or "capacity" not in data:
-                    data.pop("capacity", None)  # networkx: no capacity is +inf
-                else:
-                    data["capacity"] += cap
-            value, flow, cut = max_flow(Digraph(n, edges), caps, 0, n - 1)
-            try:
-                expected = nx.maximum_flow_value(reference, 0, n - 1)
-            except nx.NetworkXUnbounded:
-                outcomes.add("unbounded")
-                assert value == POS_INF
-                assert n - 1 in cut
-                assert flow == (0,) * m
+            yield n, edges, caps
+    for layers, width in ((4, 6), (8, 5), (12, 8), (20, 10)):
+        n, edges = layered_edges(rng, layers, width)
+        yield n, edges, [1] * len(edges)
+    for n, pairs in ((12, 30), (30, 100), (60, 150)):
+        edges = []
+        for u, v in random_edges(rng, n, pairs):
+            edges += [(u, v), (v, u)] + [(u, v)] * rng.randint(0, 2)
+        caps = [
+            POS_INF if rng.random() < 0.05 else rng.randint(0, 6) for _ in edges
+        ]
+        yield n, tuple(edges), caps
+
+
+def residual_reach(reference, flow, source):
+    """Nodes reachable from source in the residual of a networkx flow."""
+    reach, stack = {source}, [source]
+    while stack:
+        u = stack.pop()
+        forward = (
+            v for v, data in reference.succ[u].items()
+            if flow[u][v] < data.get("capacity", float("inf"))
+        )
+        backward = (v for v in reference.pred[u] if flow[v][u] > 0)
+        for v in (*forward, *backward):
+            if v not in reach:
+                reach.add(v)
+                stack.append(v)
+    return reach
+
+
+def test_max_flow_matches_networkx():
+    rng = random.Random(101)
+    outcomes = set()
+    for n, edges, caps in max_flow_cases(rng):
+        m = len(edges)
+        reference = nx.DiGraph()
+        reference.add_nodes_from(range(n))
+        for (u, v), cap in zip(edges, caps):
+            if u == v:
                 continue
-            outcomes.add("bounded")
-            assert value == expected
-            assert 0 in cut and n - 1 not in cut
-            crossing = [
-                caps[e] for e, (u, v) in enumerate(edges) if u in cut and v not in cut
-            ]
-            assert POS_INF not in crossing
-            assert sum(crossing) == value
-            assert all(0 <= flow[e] <= caps[e] for e in range(m))
-            net = imbalances(Digraph(n, edges), flow)
-            assert net[n - 1] == value and net[0] == -value
-            assert all(net[v] == 0 for v in range(1, n - 1))
+            if not reference.has_edge(u, v):
+                reference.add_edge(u, v, capacity=0)
+            data = reference.edges[u, v]
+            if cap == POS_INF or "capacity" not in data:
+                data.pop("capacity", None)  # networkx: no capacity is +inf
+            else:
+                data["capacity"] += cap
+        value, flow, cut = max_flow(Digraph(n, edges), caps, 0, n - 1)
+        try:
+            expected, expected_flow = nx.maximum_flow(reference, 0, n - 1)
+        except nx.NetworkXUnbounded:
+            outcomes.add("unbounded")
+            assert value == POS_INF
+            assert n - 1 in cut
+            assert flow == (0,) * m
+            continue
+        outcomes.add("bounded")
+        assert value == expected
+        assert 0 in cut and n - 1 not in cut
+        crossing = [
+            caps[e] for e, (u, v) in enumerate(edges) if u in cut and v not in cut
+        ]
+        assert POS_INF not in crossing
+        assert sum(crossing) == value
+        # the smallest source side of a minimum cut, which any max flow's
+        # residual reaches
+        assert cut == residual_reach(reference, expected_flow, 0)
+        assert all(0 <= flow[e] <= caps[e] for e in range(m))
+        net = imbalances(Digraph(n, edges), flow)
+        assert net[n - 1] == value and net[0] == -value
+        assert all(net[v] == 0 for v in range(1, n - 1))
     assert outcomes == {"bounded", "unbounded"}
 
 

@@ -11,7 +11,7 @@ Scaling the fairness term by M = 1 + 2 * sum |c_e| * (u_e - l_e) makes
 the cheapest fair flow the oracle's optimum.
 
 networkx is a test-only dependency: the module is skipped without it.
-Instances have 20 to 60 nodes, 50 to 200 edges, boxes 3 or 20 wide and
+Instances have 20 to 100 nodes, 50 to 400 edges, boxes 3 or 20 wide and
 costs in [-10, 10].
 """
 
@@ -35,7 +35,7 @@ nx = pytest.importorskip("networkx")
 CASES = [
     (seed, n, m, width)
     for seed, (n, m) in enumerate(
-        [(20, 50), (30, 80), (40, 120), (50, 150), (60, 120), (60, 200)]
+        [(20, 50), (30, 80), (40, 120), (50, 150), (60, 120), (60, 200), (100, 400)]
     )
     for width in (3, 20)
 ]
