@@ -2,8 +2,10 @@
 
 One problem file in, one JSON result document out (CSV for ``report``).
 Exit codes: 0 ok, 1 infeasible or no fair flow exists, 2 input error,
-3 internal error (a bug, never a property of the input).  Logs go to
-stderr; stdout carries only the result.
+3 internal error (a bug, never a property of the input).  stdout
+carries only the result.  stderr gets an ``error: ...`` line on exit 2
+(after argparse's usage line when the command line itself is malformed)
+and the traceback on exit 3, and nothing otherwise: there is no logging.
 """
 
 from __future__ import annotations

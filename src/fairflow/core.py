@@ -24,13 +24,19 @@ from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 FlowValues = tuple[int, ...]
 
 
+def _int(value, field: str) -> int:
+    """The value, required to be an int (bools rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{field} must be an int, got {value!r}")
+    return value
+
+
 def _ints(values: Iterable, field: str) -> tuple[int, ...]:
     """The values as a tuple, each required to be an int (bools rejected)."""
     values = tuple(values)
     if set(map(type, values)) - {int}:  # plain ints skip the loop
         for i, x in enumerate(values):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise TypeError(f"{field}[{i}] must be an int, got {x!r}")
+            _int(x, f"{field}[{i}]")
     return values
 
 
@@ -45,7 +51,7 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.node_count <= 0:
+        if _int(self.node_count, "node_count") <= 0:
             raise ValueError("node_count must be positive")
         edges = tuple((u, v) for u, v in self.edges)
         _ints((u for u, _ in edges), "edge tails")
@@ -98,6 +104,8 @@ class FlowProblem:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "supply", _ints(self.supply, "supply"))
         object.__setattr__(self, "focus", frozenset(self.focus))
+        # checked in place: a set rebuilt from a tuple may iterate in another order
+        _ints(self.focus, "focus")
         if self.cost is not None:
             object.__setattr__(self, "cost", _ints(self.cost, "cost"))
             if len(self.cost) != m:
@@ -106,13 +114,10 @@ class FlowProblem:
             raise ValueError("bounds must have one entry per edge")
         if len(self.supply) != self.graph.node_count:
             raise ValueError("supply must have one entry per node")
-        for e in range(m):
-            if lower[e] == POS_INF:
-                raise ValueError(f"lower bound of edge {e} cannot be +inf")
-            if upper[e] == NEG_INF:
-                raise ValueError(f"upper bound of edge {e} cannot be -inf")
-            if lower[e] > upper[e]:
-                raise ValueError(f"edge {e} has lower > upper")
+        for e, (lo, hi) in enumerate(zip(lower, upper)):
+            # a +inf lower or -inf upper exceeds the other bound or equals it
+            if lo > hi or (not lo.is_finite and lo == hi):
+                raise ValueError(f"edge {e} has invalid bounds [{lo}, {hi}]")
         if sum(self.supply) != 0:
             raise ValueError("supply must sum to zero")
         for e in self.focus:
@@ -133,11 +138,6 @@ class FlowProblem:
         return all(
             self.lower[e].is_finite and self.upper[e].is_finite for e in self.focus
         )
-
-    def tight_edges(self, within: Iterable[int] | None = None) -> list[int]:
-        """Edge ids with lower == upper, optionally restricted to a subset."""
-        pool = range(self.edge_count) if within is None else sorted(within)
-        return [e for e in pool if self.lower[e] == self.upper[e]]
 
     # -- derived problems ----------------------------------------------
 
@@ -306,16 +306,12 @@ def _edge_residual_arcs(
     return arcs
 
 
-def build_costed_residual(
-    problem: FlowProblem, values: Sequence[int], cost: Sequence[int] | None = None
-) -> CostedResidual:
+def build_costed_residual(problem: FlowProblem, values: Sequence[int]) -> CostedResidual:
     """Residual digraph of a feasible flow with signed costs.
 
-    Uses ``problem.cost`` when no explicit cost vector is given; absent
-    both, costs are zero.
+    Costs are ``problem.cost``, or zero when the problem has none.
     """
-    if cost is None:
-        cost = problem.cost or (0,) * problem.edge_count
+    cost = problem.cost or (0,) * problem.edge_count
     arcs = []
     for e in range(problem.edge_count):
         arcs += _edge_residual_arcs(problem, values, cost, e)

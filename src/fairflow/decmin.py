@@ -168,7 +168,10 @@ def cheapest_decmin_flow(problem: FlowProblem) -> FlowValues:
     """The cheapest fair flow under the problem's integer costs.
 
     Fair flows are exactly the flows of the narrow box, so this is a
-    single min-cost query over the tightened bounds.
+    single min-cost query over the tightened bounds.  The box is
+    strongly polynomial to compute, but the query cancels first-found
+    negative circuits, bounded only by the initial cost gap, O(m*C*U)
+    (see min_cost_mflow): this function is pseudo-polynomial.
     """
     box, _ = narrow_box(problem)
     return min_cost_mflow(problem.with_bounds(box.f_star, box.g_star))

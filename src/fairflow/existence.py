@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .core import FlowProblem, FlowValues, _deficiency
 from .errors import InternalCertificateFailure, NoDecMinError
-from .extint import ext_min
+from .extint import ExtInt
 from .maxflow import require_feasible
 
 
@@ -144,9 +144,9 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
 
     upper = list(problem.upper)
     if any(not problem.upper[e].is_finite for e in problem.focus):
-        cap = max(sample)
+        cap = ExtInt(max(sample))
         for e in sorted(problem.focus):
-            upper[e] = ext_min(problem.upper[e], cap)
+            upper[e] = min(problem.upper[e], cap)
 
     lower = list(problem.lower)
     for e, region in regions.items():

@@ -124,8 +124,3 @@ def as_extint(value) -> ExtInt:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected int or ExtInt, got {value!r}")
     return ExtInt(value)
-
-
-def ext_min(a, b) -> ExtInt:
-    a, b = as_extint(a), as_extint(b)
-    return a if a <= b else b

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency, imbalances
+from .core import Digraph, FlowProblem, FlowValues, _deficiency, _int, imbalances
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 
@@ -185,7 +185,7 @@ def max_flow(
             f"expected {graph.edge_count} capacities, got {len(capacities)}"
         )
     for name, node in (("source", source), ("sink", sink)):
-        if node not in range(graph.node_count):
+        if _int(node, name) not in range(graph.node_count):
             raise ValueError(f"{name} {node} is not a node of the graph")
     if source == sink:
         raise ValueError("source and sink must differ")

@@ -14,14 +14,12 @@ certificates; finite capacities are plain ints, unbounded arcs +inf.
 from __future__ import annotations
 
 from ._bf import bellman_ford
-# build_costed_residual is re-exported: callers import it from here too.
 from .core import (
     CostedResidual,
     FlowProblem,
     FlowValues,
     ResidualArc,
     _edge_residual_arcs,
-    build_costed_residual,
 )
 from .errors import NegativeCycleError, UnboundedCostError
 from .extint import POS_INF
@@ -74,6 +72,14 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     UnboundedCostError when the cost guard fails: every negative-cost
     edge needs a finite upper bound and every positive-cost edge a
     finite lower bound, otherwise the minimum may not exist.
+
+    Running time: each search is one Bellman-Ford pass, O(nm), and each
+    canceled circuit lowers the cost by at least one.  Taking the first
+    circuit found, the number of cancellations is therefore bounded only
+    by the initial cost gap, O(m*C*U) for costs up to C in absolute
+    value and finite bound widths up to U: pseudo-polynomial.  Under the
+    0/1 costs of the upper-minimizer the gap is at most |L|, the number
+    of counted edges, so there are at most |L| cancellations.
     """
     cost = problem.cost or (0,) * problem.edge_count
     for e in range(problem.edge_count):

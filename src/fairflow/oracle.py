@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .core import FlowProblem, FlowValues, focus_profile
 from .errors import InfiniteBoundsError, LimitExceededError
@@ -90,6 +90,20 @@ def enumerate_flows(
     return flows
 
 
+def _smallest(flows: Iterable[FlowValues], key: Callable[[FlowValues], Any]):
+    """The smallest key and every flow attaining it, in order; (None, []) if none."""
+    best = None
+    attaining: list[FlowValues] = []
+    for flow in flows:
+        value = key(flow)
+        if best is None or value < best:
+            best = value
+            attaining = [flow]
+        elif value == best:
+            attaining.append(flow)
+    return best, attaining
+
+
 def oracle_decmin(
     problem: FlowProblem, limits: OracleLimits = OracleLimits()
 ) -> tuple[tuple[int, ...], list[FlowValues]]:
@@ -99,15 +113,9 @@ def oracle_decmin(
     focus set is empty; the flow list is empty when the problem is
     infeasible.
     """
-    best: tuple[int, ...] | None = None
-    attaining: list[FlowValues] = []
-    for flow in enumerate_flows(problem, limits):
-        profile = focus_profile(problem, flow)
-        if best is None or profile < best:
-            best = profile
-            attaining = [flow]
-        elif profile == best:
-            attaining.append(flow)
+    best, attaining = _smallest(
+        enumerate_flows(problem, limits), lambda flow: focus_profile(problem, flow)
+    )
     return (best if best is not None else ()), attaining
 
 
@@ -115,16 +123,12 @@ def oracle_incmax(
     problem: FlowProblem, limits: OracleLimits = OracleLimits()
 ) -> tuple[tuple[int, ...], list[FlowValues]]:
     """Largest sorted-increasing focus profile and its flows."""
-    best: tuple[int, ...] | None = None
-    attaining: list[FlowValues] = []
-    for flow in enumerate_flows(problem, limits):
-        profile = tuple(sorted(flow[e] for e in problem.focus))
-        if best is None or profile > best:
-            best = profile
-            attaining = [flow]
-        elif profile == best:
-            attaining.append(flow)
-    return (best if best is not None else ()), attaining
+    # negating every component reverses the lexicographic order
+    best, attaining = _smallest(
+        enumerate_flows(problem, limits),
+        lambda flow: tuple(-z for z in sorted(flow[e] for e in problem.focus)),
+    )
+    return (tuple(-z for z in best) if best is not None else ()), attaining
 
 
 def oracle_beta(
@@ -133,12 +137,10 @@ def oracle_beta(
     """Smallest achievable maximum focus value; None when undefined."""
     if not problem.focus:
         return None
-    best: int | None = None
-    for flow in enumerate_flows(problem, limits):
-        top = max(flow[e] for e in problem.focus)
-        if best is None or top < best:
-            best = top
-    return best
+    return _smallest(
+        enumerate_flows(problem, limits),
+        lambda flow: max(flow[e] for e in problem.focus),
+    )[0]
 
 
 def oracle_min_saturated(
@@ -148,12 +150,10 @@ def oracle_min_saturated(
 ) -> int | None:
     """Fewest upper-bound-saturated edges of a set over feasible flows."""
     level = sorted(level_edges)
-    best: int | None = None
-    for flow in enumerate_flows(problem, limits):
-        count = sum(1 for e in level if flow[e] == problem.upper[e])
-        if best is None or count < best:
-            best = count
-    return best
+    return _smallest(
+        enumerate_flows(problem, limits),
+        lambda flow: sum(1 for e in level if flow[e] == problem.upper[e]),
+    )[0]
 
 
 def oracle_cheapest_decmin(
@@ -162,12 +162,8 @@ def oracle_cheapest_decmin(
     """Cheapest flow among the fairest ones; None when infeasible."""
     cost = problem.cost or (0,) * problem.edge_count
     _, flows = oracle_decmin(problem, limits)
-    best: tuple[int, FlowValues] | None = None
-    for flow in flows:
-        price = sum(c * z for c, z in zip(cost, flow))
-        if best is None or price < best[0]:
-            best = (price, flow)
-    return best
+    price, cheapest = _smallest(flows, lambda flow: sum(c * z for c, z in zip(cost, flow)))
+    return None if price is None else (price, cheapest[0])
 
 
 def oracle_most_violating(problem: FlowProblem) -> tuple[frozenset[int], ExtInt]:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .core import Digraph, FlowProblem, FlowValues, build_costed_residual
 from .errors import InternalCertificateFailure
 from .extint import ExtInt, as_extint
-from .maxflow import hoffman_deficiency, require_feasible
+from .maxflow import hoffman_deficiency
 from .mincost import min_cost_mflow, residual_potentials
 
 
@@ -48,12 +48,13 @@ class Chain:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def entered_count(self, tail: int, head: int) -> int:
-        """How many members the arc (tail, head) enters."""
-        return sum(1 for s in self.sets if head in s and tail not in s)
-
-    def leaves_any(self, tail: int, head: int) -> bool:
-        return any(tail in s and head not in s for s in self.sets)
+    def depth(self, node_count: int) -> dict[int, int]:
+        """Per node of range(node_count), how many members hold it."""
+        depth = dict.fromkeys(range(node_count), 0)  # KeyError on other nodes
+        for member in self.sets:
+            for v in member:
+                depth[v] += 1
+        return depth
 
 
 @dataclass(frozen=True)
@@ -178,17 +179,18 @@ def _chain_window(
     (O5) a counted edge crossing nothing gets [lower, upper-1];
     every other edge keeps its bounds, with criterion None.
 
-    Exactly one case applies: no edge u->v both enters a member Vi
-    (v in Vi, u not) and leaves a member Vj (u in Vj, v not), since
-    nesting puts v in Vj when Vi <= Vj and u in Vi when Vj <= Vi.
+    Exactly one case applies: by nesting, an edge u->v enters
+    depth[v] - depth[u] members (Chain.depth) when that is positive,
+    and leaves some member exactly when it is negative.
     """
     lower = list(problem.lower)
     upper = list(problem.upper)
     criteria: list[str | None] = [None] * problem.edge_count
+    depth = chain.depth(problem.node_count)
     for e, (u, v) in enumerate(problem.graph.edges):
         # lower[e] and upper[e] still hold the problem's bounds here
-        entered = chain.entered_count(u, v)
-        if chain.leaves_any(u, v):
+        entered = depth[v] - depth[u]
+        if entered < 0:
             criteria[e], upper[e] = "O1", lower[e]
         elif e not in level:
             if entered:
@@ -226,12 +228,9 @@ def chain_dual_value(
     problem: FlowProblem, level_edges: Iterable[int], chain: Chain
 ) -> int:
     """Dual objective: entered L-edges minus the chain's slack terms."""
-    level = frozenset(level_edges)
-    entered = sum(
-        1
-        for e in level
-        if chain.entered_count(*problem.graph.edges[e]) >= 1
-    )
+    depth = chain.depth(problem.node_count)
+    edges = [problem.graph.edges[e] for e in frozenset(level_edges)]
+    entered = sum(1 for u, v in edges if depth[v] > depth[u])
     # a member's slack in_upper - out_lower - supply is minus its deficiency
     return entered + sum(hoffman_deficiency(problem, m).finite for m in chain.sets)
 
@@ -246,15 +245,12 @@ def solve_upper_minimizer(
     of which are re-verified before returning.  Raises InfeasibleError
     when the problem has no feasible flow at all.
     """
-    level = frozenset(level_edges)
-    if not level:
-        return require_feasible(problem), Chain(()), 0
-    pcp = build_parallel_copy(problem, level)
+    pcp = build_parallel_copy(problem, level_edges)
     extended_values = min_cost_mflow(pcp.extended)
     count = sum(extended_values[copy] for _, copy in pcp.copy_pairs)
     values = pcp.pull_back(extended_values)
     chain = extract_chain_from_duals(pcp, extended_values)
-    problems = verify_O1_O5(problem, level, values, chain)
+    problems = verify_O1_O5(problem, pcp.level_edges, values, chain)
     if problems:
         raise InternalCertificateFailure(
             "saturation criteria failed: " + "; ".join(problems)
@@ -264,6 +260,6 @@ def solve_upper_minimizer(
             raise InternalCertificateFailure("chain member is not a proper subset")
         if not hoffman_deficiency(problem, member).is_finite:
             raise InternalCertificateFailure("chain member has an infinite boundary term")
-    if chain_dual_value(problem, level, chain) != count:
+    if chain_dual_value(problem, pcp.level_edges, chain) != count:
         raise InternalCertificateFailure("dual chain value does not match count")
     return values, chain, count

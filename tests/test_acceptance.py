@@ -228,7 +228,7 @@ def test_criterion_5_upper_minimizer_minmax(corpus):
             if not entry.flows:
                 continue
             problem = entry.problem
-            live = problem.focus - set(problem.tight_edges(within=problem.focus))
+            live = {e for e in problem.focus if problem.lower[e] != problem.upper[e]}
             if not live:
                 continue
             result = compute_beta(problem.with_focus(live))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -8,13 +10,18 @@ from hypothesis import strategies as st
 from fairflow import (
     Digraph,
     FlowProblem,
+    NEG_INF,
+    POS_INF,
     boundary_sums,
     build_costed_residual,
     build_level_cost,
     check_flow,
     decmin_compare,
+    decmin_flow,
+    exists_decmin,
     focus_profile,
     is_feasible,
+    narrow_box,
 )
 from fairflow.core import imbalances, supply_sum
 
@@ -63,11 +70,58 @@ class TestProblemValidation:
         with pytest.raises(TypeError, match=re.escape(field)):
             build(2, edges, [0], [1], supply, cost=cost)
 
+    @pytest.mark.parametrize("focus", [{True}, {1.0}, {0, "1"}])
+    def test_non_int_focus_rejected(self, focus):
+        with pytest.raises(TypeError, match=r"^focus\[\d\] must be an int"):
+            build(2, [(0, 1), (1, 0)], [0, 0], [1, 1], [0, 0], focus=focus)
+
+    @pytest.mark.parametrize("node_count, edges", [(True, ()), (2.0, ((0, 1),))])
+    def test_non_int_node_count_rejected(self, node_count, edges):
+        with pytest.raises(TypeError, match="^node_count must be an int"):
+            Digraph(node_count, edges)
+
     def test_infinities_on_wrong_side(self):
         with pytest.raises(ValueError):
             build(2, [(0, 1)], ["+inf"], ["+inf"], [0, 0])
         with pytest.raises(ValueError):
             build(2, [(0, 1)], ["-inf"], ["-inf"], [0, 0])
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestInfinityCopies:
+    """Infinities compare by value: a copy is a new object that must behave alike."""
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled])
+    def test_copied_problem_solves_alike(self, copier, triangle_unbounded):
+        problem = build(
+            2,
+            [(0, 1), (1, 0), (0, 1)],
+            ["-inf", 0, 0],
+            ["+inf", 5, 3],
+            [-2, 2],
+            focus=[0, 2],
+        )
+        copied = copier(problem)
+        assert copied.lower[0] is not NEG_INF and copied.upper[0] is not POS_INF
+        assert copied == problem
+        assert narrow_box(copied) == narrow_box(problem)
+        assert decmin_flow(copied) == decmin_flow(problem)
+        assert exists_decmin(copied) == exists_decmin(problem)
+        triangle = copier(triangle_unbounded)
+        assert triangle == triangle_unbounded
+        assert exists_decmin(triangle) == exists_decmin(triangle_unbounded)
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled])
+    @pytest.mark.parametrize("infinity", [POS_INF, NEG_INF], ids=["+inf", "-inf"])
+    def test_copied_infinite_pair_rejected(self, copier, infinity):
+        lower, upper = copier(infinity), copier(infinity)
+        assert lower is not infinity and upper is not infinity
+        message = re.escape(f"edge 0 has invalid bounds [{infinity}, {infinity}]")
+        with pytest.raises(ValueError, match=message):
+            FlowProblem(Digraph(2, ((0, 1),)), (lower,), (upper,), (0, 0))
 
 
 class TestBoundarySums:

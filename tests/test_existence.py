@@ -40,15 +40,53 @@ def windowed(problem, width):
     return problem.with_bounds(lower, upper)
 
 
-def sprinkle_infinities(rng, problem):
+def sprinkle_infinities(rng, problem, focus_upper=False):
+    """Random -inf lowers, and +inf uppers off the focus set unless focus_upper."""
     lower = [
         NEG_INF if rng.random() < 0.25 else b for b in problem.lower
     ]
     upper = [
-        POS_INF if e not in problem.focus and rng.random() < 0.25 else b
+        POS_INF
+        if (focus_upper or e not in problem.focus) and rng.random() < 0.25
+        else b
         for e, b in enumerate(problem.upper)
     ]
     return problem.with_bounds(lower, upper)
+
+
+def assert_cap_preserves_decmin_set(rng, focus_upper):
+    """finitize_bounds keeps the fair set of 25 seeded sprinkled instances.
+
+    With focus_upper, every instance has a +inf upper bound on the focus set.
+    """
+    tested = 0
+    while tested < 25:
+        base = random_problem(rng, max_nodes=3, max_edges=4, feasible=True)
+        problem = sprinkle_infinities(rng, base, focus_upper)
+        if focus_upper and all(problem.upper[e].is_finite for e in problem.focus):
+            continue
+        result = exists_decmin(problem)
+        if not result.exists:
+            continue
+        finite = finitize_bounds(problem)
+        assert finite.finite_on_focus()
+        # implied bounds never cut off a fair flow: the fair set of a
+        # wide finite window inside/outside coincide
+        narrow = windowed(problem, 6)
+        if isinstance(find_feasible_mflow(narrow), CutCertificate):
+            continue
+        contained = all(
+            finite.lower[e] >= narrow.lower[e]
+            and finite.upper[e] <= narrow.upper[e]
+            for e in range(problem.edge_count)
+        )
+        if not contained:
+            continue
+        p_window, flows_window = oracle_decmin(narrow, WIDE)
+        p_finite, flows_finite = oracle_decmin(finite, WIDE)
+        assert p_window == p_finite
+        assert set(flows_window) == set(flows_finite)
+        tested += 1
 
 
 class TestInfinityDigraph:
@@ -154,34 +192,29 @@ class TestFinitize:
         once = finitize_bounds(pinned)
         assert finitize_bounds(once) is once
 
+    def test_cap_on_infinite_focus_upper(self):
+        problem = build(
+            2,
+            [(0, 1), (1, 0), (0, 1)],
+            ["-inf", 0, 0],
+            ["+inf", 5, 3],
+            [-2, 2],
+            focus=[0, 2],
+        )
+        finite = finitize_bounds(problem)
+        # the cap is the sample flow's largest value, 2, on both focus uppers
+        assert finite.lower == (0, 0, 0)
+        assert finite.upper == (2, 5, 2)
+        box, _ = narrow_box(problem)
+        assert box.f_star == (0, 0, 0)
+        assert box.g_star == (1, 0, 1)
+        assert decmin_flow(problem) == (1, 0, 1)
+
     def test_upper_cap_preserves_decmin_set(self):
-        rng = random.Random(131)
-        tested = 0
-        while tested < 25:
-            base = random_problem(rng, max_nodes=3, max_edges=4, feasible=True)
-            problem = sprinkle_infinities(rng, base)
-            result = exists_decmin(problem)
-            if not result.exists:
-                continue
-            finite = finitize_bounds(problem)
-            assert finite.finite_on_focus()
-            # implied bounds never cut off a fair flow: the fair set of a
-            # wide finite window inside/outside coincide
-            narrow = windowed(problem, 6)
-            if isinstance(find_feasible_mflow(narrow), CutCertificate):
-                continue
-            contained = all(
-                finite.lower[e] >= narrow.lower[e]
-                and finite.upper[e] <= narrow.upper[e]
-                for e in range(problem.edge_count)
-            )
-            if not contained:
-                continue
-            p_window, flows_window = oracle_decmin(narrow, WIDE)
-            p_finite, flows_finite = oracle_decmin(finite, WIDE)
-            assert p_window == p_finite
-            assert set(flows_window) == set(flows_finite)
-            tested += 1
+        assert_cap_preserves_decmin_set(random.Random(131), focus_upper=False)
+
+    def test_upper_cap_on_infinite_focus_uppers(self):
+        assert_cap_preserves_decmin_set(random.Random(149), focus_upper=True)
 
     def test_finitized_problem_feeds_the_solver(self):
         rng = random.Random(137)

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairflow import ExtInt, InfinityClashError, NEG_INF, POS_INF, as_extint
-from fairflow.extint import ext_min
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 extints = st.one_of(
@@ -40,7 +39,7 @@ def test_mixed_arithmetic():
     assert POS_INF - 7 == POS_INF
     assert 7 - NEG_INF == POS_INF
     assert -NEG_INF == POS_INF
-    assert ext_min(POS_INF, 4) == 4
+    assert min(POS_INF, ExtInt(4)) == 4
 
 
 def test_rejects_non_ints():

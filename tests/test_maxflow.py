@@ -63,6 +63,15 @@ class TestMaxFlow:
         with pytest.raises(ValueError, match="sink 3 is not a node"):
             max_flow(g, (1, 1), 0, 3)
 
+    @pytest.mark.parametrize(
+        "source, sink, field",
+        [(True, 2, "source"), (0.0, 2, "source"), (0, True, "sink"), (0, 2.0, "sink")],
+    )
+    def test_rejects_non_int_terminals(self, source, sink, field):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            max_flow(g, (1, 1), source, sink)
+
     def test_rejects_extra_capacities(self):
         g = Digraph(3, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match="expected 2 capacities, got 3"):

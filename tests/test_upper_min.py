@@ -33,11 +33,38 @@ class TestChain:
 
     def test_crossing_queries(self):
         chain = Chain((frozenset({1, 2, 3}), frozenset({3})))
-        assert chain.entered_count(0, 3) == 2
-        assert chain.entered_count(1, 3) == 1
-        assert chain.entered_count(0, 1) == 1
-        assert chain.leaves_any(1, 0)
-        assert not chain.leaves_any(0, 3)
+        depth = chain.depth(5)
+        assert depth == {0: 0, 1: 1, 2: 1, 3: 2, 4: 0}
+        # u->v enters depth[v] - depth[u] members, and leaves one iff that is < 0
+        assert depth[3] - depth[0] == 2
+        assert depth[3] - depth[1] == 1
+        assert depth[1] - depth[0] == 1
+        assert depth[0] - depth[1] < 0
+        assert depth[3] - depth[0] >= 0
+
+    def test_depth_rejects_nodes_outside_the_graph(self):
+        for node in (-1, 3):
+            with pytest.raises(KeyError):
+                Chain((frozenset({0, node}),)).depth(3)
+
+    def test_depth_matches_member_scan(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            sets, member = [], set(range(n))
+            while True:
+                member = {v for v in member if rng.random() < 0.7}
+                if not member or (sets and member == sets[-1]):
+                    break
+                sets.append(frozenset(member))
+            chain = Chain(tuple(sets))
+            depth = chain.depth(n)
+            for u in range(n):
+                for v in range(n):
+                    entered = sum(1 for s in sets if v in s and u not in s)
+                    leaves = any(u in s and v not in s for s in sets)
+                    assert max(depth[v] - depth[u], 0) == entered
+                    assert (depth[v] - depth[u] < 0) == leaves
 
 
 class TestParallelCopy:
