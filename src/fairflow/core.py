@@ -141,15 +141,14 @@ class FlowProblem:
 
     # -- derived problems ----------------------------------------------
 
-    def with_bounds(self, lower=None, upper=None) -> "FlowProblem":
+    def with_bounds(self, lower=None, upper=None, focus=None) -> "FlowProblem":
+        """The problem with the given bounds and focus; None keeps the field."""
         return replace(
             self,
             lower=tuple(lower) if lower is not None else self.lower,
             upper=tuple(upper) if upper is not None else self.upper,
+            focus=frozenset(focus) if focus is not None else self.focus,
         )
-
-    def with_focus(self, focus: Iterable[int]) -> "FlowProblem":
-        return replace(self, focus=frozenset(focus))
 
     def negated(self) -> "FlowProblem":
         """The mirror problem: z is feasible here iff -z is feasible there."""
@@ -230,20 +229,17 @@ class FlowViolation:
 def check_flow(problem: FlowProblem, values: Sequence[int]) -> FlowViolation | None:
     """Return None when feasible, else the first violation found.
 
+    Values are ints, one per edge (TypeError, ValueError otherwise).
     Bounds are checked in edge-id order, then conservation in node-id
-    order.
+    order, all in O(m) on plain ints.
     """
     if len(values) != problem.edge_count:
         raise ValueError("flow must have one value per edge")
-    for e in range(problem.edge_count):
-        z = values[e]
-        if not (problem.lower[e] <= z <= problem.upper[e]):
-            return FlowViolation(
-                "bounds",
-                e,
-                f"edge {e}: value {z} outside "
-                f"[{problem.lower[e]}, {problem.upper[e]}]",
-            )
+    values = _ints(values, "flow")
+    # plain ints: a lower bound is an int or -inf, an upper an int or +inf
+    for e, (z, lo, hi) in enumerate(zip(values, problem.lower, problem.upper)):
+        if (lo.is_finite and z < lo.finite) or (hi.is_finite and z > hi.finite):
+            return FlowViolation("bounds", e, f"edge {e}: value {z} outside [{lo}, {hi}]")
     net = imbalances(problem.graph, values)
     for v in range(problem.node_count):
         if net[v] != problem.supply[v]:

@@ -104,22 +104,23 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
     InfeasibleError when the problem has no feasible flow at all.
     """
     problem = finitize_bounds(problem)
-    require_feasible(problem)
+    flow = require_feasible(problem)
     lower = problem.lower
     upper = problem.upper
     focus = set(problem.focus)
     rounds: list[ReductionRound] = []
     while focus:
-        # compute_beta first drops the focus edges that are already tight
-        beta_result = compute_beta(problem.with_bounds(lower, upper).with_focus(focus))
+        # compute_beta first drops the focus edges that are already tight;
+        # flow is feasible for this round: the input's, or the last round's
+        beta_result = compute_beta(problem.with_bounds(lower, upper, focus), flow=flow)
         upper = beta_result.clamped_upper
         focus.difference_update(beta_result.removed_tight_edges)
         level_set = beta_result.saturated_level_set
         # every focus edge turned tight (beta None): a last round, no chain
         chain, f_prime, g_prime, narrowed = None, lower, upper, frozenset()
         if focus:
-            clamped = problem.with_bounds(lower, upper).with_focus(focus)
-            _, chain, count = solve_upper_minimizer(clamped, level_set)
+            clamped = problem.with_bounds(lower, upper, focus)
+            flow, chain, count = solve_upper_minimizer(clamped, level_set)
             if count == 0:
                 raise InternalCertificateFailure(
                     "no flow reaches the cap even though the cap is minimal"

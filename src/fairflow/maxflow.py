@@ -16,15 +16,20 @@ graph and supplies under bounds (lower, upper).
   the bounds (lower, g' + mu on L).
 
 Why one network answers all three.  Edge e starts at a finite point b
-of its bounds, and node excesses supply - in_b + out_b become sink arcs
-(positive, summing to D) or source arcs (negative).  The cut with sink
-side Z then has capacity D - supply(Z) + in_upper(Z) - out_lower(Z) =
-D - deficiency(Z).  A cut through an infinite arc costs more than D,
-so it is never minimal.  After any max flow the source-reachable set is
-the smallest source side of a minimum cut, so its complement is the
-union of all deficiency maximizers, whichever maximum flow the engine
-finds.  Its deficiency is therefore D - value, read off the flow value
-rather than recounted over the boundary.
+of its bounds: a caller's start value clamped into the bounds, or else
+the lower bound, min(0, upper) or 0, whichever is finite first.  Node
+excesses supply - in_b + out_b become sink arcs (positive, summing to
+D) or source arcs (negative).  The cut with sink side Z then has
+capacity D - supply(Z) + in_upper(Z) - out_lower(Z) = D - deficiency(Z).
+A cut through an infinite arc costs more than D, so it is never
+minimal.  After any max flow the source-reachable set is the smallest
+source side of a minimum cut, so its complement is the union of all
+deficiency maximizers, whichever maximum flow the engine finds.  Its
+deficiency is therefore D - value, read off the flow value rather than
+recounted over the boundary.  None of this depends on b: every start
+gives the same minimizing sets, source-reachable set and D - value.
+Only the flow found, and how many augmenting paths it takes, change.
+A start that is already nearly feasible leaves a small D to route.
 
 Residual capacities are plain ints.  Each network replaces +inf by a
 finite surrogate B = 1 + (total capacity of its super-source arcs).
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency, _int, imbalances
+from .core import Digraph, FlowProblem, FlowValues, _deficiency, _int, _ints, imbalances
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 
@@ -211,15 +216,18 @@ def max_flow(
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence):
+def _feasibility_network(
+    problem: FlowProblem, lower: Sequence, upper: Sequence, start: Sequence[int] | None = None
+):
     """Max flow on the super-source/super-sink network under (lower, upper).
 
     Returns (net, base, sink_side, deficiency).  Edge e starts at a
-    finite point base[e] of its bounds; arc 2e may raise it to its upper
-    bound and the reverse arc 2e+1 may lower it to its lower bound.
-    sink_side is the complement of the source-reachable set, and its
-    deficiency is demand_total - value (module docstring): zero exactly
-    when the flow is feasible.
+    finite point base[e] of its bounds, start[e] clamped into them when
+    a start is given; arc 2e may raise it to its upper bound and the
+    reverse arc 2e+1 may lower it to its lower bound.  sink_side is the
+    complement of the source-reachable set, and its deficiency is
+    demand_total - value (module docstring): zero exactly when the flow
+    is feasible, and the same for every start.
     """
     n = problem.node_count
     source, sink = n, n + 1
@@ -227,7 +235,14 @@ def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence)
     base = []
     for e, (u, v) in enumerate(problem.graph.edges):
         lo, hi = lower[e], upper[e]
-        b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
+        if start is None:
+            b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
+        else:
+            b = start[e]
+            if lo.is_finite and b < lo.finite:
+                b = lo.finite
+            elif hi.is_finite and b > hi.finite:
+                b = hi.finite
         base.append(b)
         up = hi.finite - b if hi.is_finite else None
         down = b - lo.finite if lo.is_finite else None
@@ -291,26 +306,39 @@ def nd_cut_subroutine(
     level_edges: Iterable[int],
     g_prime: Sequence,
     mu: int,
+    start: Sequence[int] | None = None,
 ) -> tuple[frozenset[int], int]:
     """Minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z) over node sets.
 
-    Requires mu >= 0, one g' value per edge, g' >= lower and g' > -inf
-    (a -inf entry would make the objective unbounded below).  The empty
-    set scores 0, so the minimum is always <= 0.  Solved on the
-    feasibility network under (lower, g' + mu on L); the returned set is
-    the union of all minimizers (module docstring).
+    Requires an int mu >= 0, level edge ids in range(edge_count), one g'
+    value per edge, g' >= lower and g' > -inf (a -inf entry would make
+    the objective unbounded below).  The empty set scores 0, so the
+    minimum is always <= 0.  Solved on the feasibility network under
+    (lower, g' + mu on L); the returned set is the union of all
+    minimizers (module docstring).  The network starts at ``start``, one
+    int per edge clamped into those bounds, when given: a flow feasible
+    under bounds close to these leaves little to route, and the answer
+    is the same for every start.
     """
-    if mu < 0:
+    if _int(mu, "mu") < 0:
         raise ValueError("mu must be non-negative")
-    if len(g_prime) != problem.edge_count:
+    m = problem.edge_count
+    if len(g_prime) != m:
         raise ValueError("g_prime must have one entry per edge")
+    level = set(level_edges)
+    for e in level:
+        if e not in range(m):
+            raise ValueError(f"level edge id {e!r} out of range")
+    if start is not None:
+        if len(start) != m:
+            raise ValueError("start must have one entry per edge")
+        _ints(start, "start")
     g_prime = [as_extint(g) for g in g_prime]
     for e, g in enumerate(g_prime):
         if g == NEG_INF:
             raise ValueError(f"g_prime must be finite or +inf (edge {e})")
         if g < problem.lower[e]:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
-    level = set(level_edges)
     raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
-    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, raised)
+    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, raised, start)
     return nodes, -deficiency

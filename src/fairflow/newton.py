@@ -9,7 +9,9 @@ focus edges' upper bounds at beta keeps the problem feasible.
 The driver only needs an argmax oracle for p(X) - mu*b(X); here that
 oracle is one min-cut probe, which returns X with its score mu*b(X) -
 p(X), so p = mu*b - score.  The probe at mu = 0 is the failed drop's
-own feasibility network, so that drop's certificate answers it.  The
+own feasibility network, so that drop's certificate answers it.  Every
+other probe starts from the latest feasible flow the cascade holds, so
+it routes only that flow's excess over the raised caps.  The
 iteration count is bounded by the largest b-value: the tentative mu
 values strictly increase while the b-values of the maximizers strictly
 decrease.
@@ -18,9 +20,9 @@ decrease.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .core import FlowProblem
+from .core import FlowProblem, check_flow
 from .errors import AssumptionViolatedError
 from .extint import ExtInt, as_extint
 from .maxflow import (
@@ -109,21 +111,29 @@ class BetaResult:
     nd_trace: NDTrace | None
 
 
-def compute_beta(problem: FlowProblem) -> BetaResult:
+def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> BetaResult:
     """Smallest cap beta so that upper := min(upper, beta) on the focus
     set keeps the problem feasible.
 
-    Requires finite bounds on the focus set and a feasible problem
-    (InfeasibleError otherwise).  Works by cascading the top bound
-    value downwards: while the top level can drop to the next candidate
-    level max(top lower bound, second upper value) feasibly, clamp and
-    continue (newly tight edges leave the focus set); when the drop
-    fails, the exact cap is recovered by the Newton driver over min-cut
-    probes.
+    Requires finite bounds on the focus set and a feasible problem.
+    Without ``flow`` one feasibility solve proves it (InfeasibleError
+    otherwise); a given flow must be feasible for the problem and is
+    checked in O(m) instead (ValueError naming the violation).  Works by
+    cascading the top bound value downwards: while the top level can
+    drop to the next candidate level max(top lower bound, second upper
+    value) feasibly, clamp and continue (newly tight edges leave the
+    focus set); when the drop fails, the exact cap is recovered by the
+    Newton driver over min-cut probes, each started from the last
+    feasible flow: the last accepted drop's, or the entry flow.
     """
     if not problem.finite_on_focus():
         raise ValueError("compute_beta requires finite bounds on the focus set")
-    require_feasible(problem)
+    if flow is None:
+        flow = require_feasible(problem)
+    else:
+        violation = check_flow(problem, flow)
+        if violation is not None:
+            raise ValueError(f"flow is not feasible: {violation.message}")
     lower = problem.lower
     upper = list(problem.upper)
     focus = set(problem.focus)
@@ -147,7 +157,7 @@ def compute_beta(problem: FlowProblem) -> BetaResult:
             dropped[e] = as_extint(beta1)
         cut = find_feasible_mflow(problem.with_bounds(upper=dropped))
         if not isinstance(cut, CutCertificate):
-            upper = dropped
+            upper, flow = dropped, cut
             strip_tight()
             continue
 
@@ -160,7 +170,7 @@ def compute_beta(problem: FlowProblem) -> BetaResult:
             if mu == 0:  # the network the failed drop has just solved
                 nodes, value = cut.nodes, -cut.deficiency
             else:
-                nodes, value = nd_cut_subroutine(problem, level_set, dropped, mu)
+                nodes, value = nd_cut_subroutine(problem, level_set, dropped, mu, start=flow)
             b = sum(1 for u, v in level_ends if v in nodes and u not in nodes)
             return nodes, mu * b - value, b
 

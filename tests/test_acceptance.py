@@ -205,7 +205,7 @@ def test_criterion_4_newton_dinkelbach_bounds(corpus):
                     # the cap-bearing focus is what the round left plus
                     # what it narrowed away
                     assert live == rnd.narrowed | rnd.focus_next
-                    state = problem.with_bounds(lower, rnd.g_capped).with_focus(live)
+                    state = problem.with_bounds(lower, rnd.g_capped, live)
                     assert rnd.beta == oracle_beta(state)
                 if rnd.nd_trace is not None:
                     trace = rnd.nd_trace
@@ -231,7 +231,7 @@ def test_criterion_5_upper_minimizer_minmax(corpus):
             live = {e for e in problem.focus if problem.lower[e] != problem.upper[e]}
             if not live:
                 continue
-            result = compute_beta(problem.with_focus(live))
+            result = compute_beta(problem.with_bounds(focus=live))
             if result.beta is None:
                 continue
             clamped = problem.with_bounds(upper=result.clamped_upper)

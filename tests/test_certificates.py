@@ -53,7 +53,7 @@ def cost_sum(cost, aux, circuit):
 
 class TestLevelCost:
     def test_empty_focus(self, diamond):
-        plain = diamond.with_focus(())
+        plain = diamond.with_bounds(focus=())
         aux, cost = build_level_cost(plain, (1, 1, 1, 1))
         assert cost.dimension == 0
         assert all(s == 0 for s in cost.arc_sign)
@@ -197,7 +197,7 @@ class TestIsDecmin:
         assert not bad.decmin and bad.circuit is not None
 
     def test_empty_focus_vacuous(self, diamond):
-        plain = diamond.with_focus(())
+        plain = diamond.with_bounds(focus=())
         verdict = is_decmin(plain, (2, 0, 2, 0))
         assert verdict.decmin
 

@@ -64,7 +64,7 @@ class TestApplyRoundBounds:
 
 class TestNarrowBoxExamples:
     def test_empty_focus_returns_original(self, diamond):
-        plain = diamond.with_focus(())
+        plain = diamond.with_bounds(focus=())
         box, rounds = narrow_box(plain)
         assert box.f_star == plain.lower
         assert box.g_star == plain.upper

@@ -282,3 +282,24 @@ class TestNdCutSubroutine:
         with pytest.raises(ValueError, match="edge 0"):
             nd_cut_subroutine(problem, set(), (NEG_INF,), 0)
         assert nd_cut_subroutine(problem, set(), (POS_INF,), 0) == ({0, 1}, 0)
+
+    def test_rejects_level_edges_out_of_range(self):
+        problem = build(2, [(0, 1)], [0], [3], [0, 0])
+        for level in ([99], [-1], [0, 1]):
+            with pytest.raises(ValueError, match="out of range"):
+                nd_cut_subroutine(problem, level, problem.upper, 1)
+
+    def test_rejects_non_int_mu(self):
+        problem = build(2, [(0, 1)], [0], [3], [0, 0])
+        for mu in (True, 0.5, ExtInt(1)):
+            with pytest.raises(TypeError, match="mu must be an int"):
+                nd_cut_subroutine(problem, set(), problem.upper, mu)
+
+    def test_rejects_malformed_start(self):
+        problem = build(3, [(0, 1), (1, 2)], [0, 0], [3, 3], [-2, 0, 2])
+        for start in ((), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="start must have one entry per edge"):
+                nd_cut_subroutine(problem, {0}, problem.upper, 1, start=start)
+        for start in ((0, 1.5), (True, 0), (0, ExtInt(1))):
+            with pytest.raises(TypeError, match=r"start\[\d\] must be an int"):
+                nd_cut_subroutine(problem, {0}, problem.upper, 1, start=start)

@@ -337,8 +337,7 @@ def test_compute_beta_against_networkx_feasibility():
         state = problem
         for round_ in narrow_box(problem)[1]:
             later += check_beta(state)
-            state = problem.with_bounds(round_.f_prime, round_.g_prime)
-            state = state.with_focus(round_.focus_next)
+            state = problem.with_bounds(round_.f_prime, round_.g_prime, round_.focus_next)
     assert later > 0
 
 

@@ -204,9 +204,7 @@ class TestComputeBeta:
                 assert not remaining
                 tested += 1
                 continue
-            state = problem.with_bounds(upper=result.clamped_upper).with_focus(
-                remaining
-            )
+            state = problem.with_bounds(upper=result.clamped_upper, focus=remaining)
             assert result.beta == oracle_beta(state)
             # when nothing went tight on the way, the cap is also the
             # min-max value of the original problem

@@ -99,7 +99,7 @@ class TestOracleQueries:
         assert flows == [(1, 1, 1, 1)]
 
     def test_empty_focus_all_flows_attain(self, diamond):
-        plain = diamond.with_focus(())
+        plain = diamond.with_bounds(focus=())
         profile, flows = oracle_decmin(plain)
         assert profile == ()
         assert len(flows) == 3
@@ -112,7 +112,7 @@ class TestOracleQueries:
     def test_beta(self, asym, diamond):
         assert oracle_beta(asym) == 2
         assert oracle_beta(diamond) == 1
-        assert oracle_beta(diamond.with_focus(())) is None
+        assert oracle_beta(diamond.with_bounds(focus=())) is None
 
     def test_most_violating_matches_solver_semantics(self):
         rng = random.Random(149)
