@@ -35,7 +35,6 @@ from .core import (
 from .decmin import (
     NarrowBox,
     ReductionRound,
-    apply_round_bounds,
     cheapest_decmin_flow,
     decmin_flow,
     incmax_flow,
@@ -90,10 +89,8 @@ from .oracle import (
 )
 from .upper_min import (
     Chain,
-    ParallelCopyProblem,
-    build_parallel_copy,
+    apply_round_bounds,
     chain_dual_value,
-    extract_chain_from_duals,
     solve_upper_minimizer,
     verify_O1_O5,
 )

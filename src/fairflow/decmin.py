@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FlowProblem, FlowValues
-from .errors import InternalCertificateFailure
-from .existence import finitize_bounds
+from .errors import InfeasibleError, InternalCertificateFailure, NoDecMinError
+from .existence import InfArc, finitize_bounds
 from .extint import ExtInt
-from .maxflow import require_feasible
+from .maxflow import CutCertificate, require_feasible
 from .mincost import min_cost_mflow
 from .newton import NDTrace, compute_beta
-from .upper_min import Chain, _chain_window, solve_upper_minimizer
+from .upper_min import Chain, apply_round_bounds, solve_upper_minimizer
 
 
 @dataclass(frozen=True)
@@ -67,33 +67,6 @@ class ReductionRound:
     focus_next: frozenset[int]
     removed_tight: tuple[int, ...]
     nd_trace: NDTrace | None
-
-
-def apply_round_bounds(
-    problem: FlowProblem,
-    beta: int,
-    level_set: frozenset[int],
-    chain: Chain,
-) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], frozenset[int]]:
-    """Rewrite bounds from the chain geometry.
-
-    Every cap-level edge must sit at beta.  (f', g') are the windows of
-    the criteria (O1)-(O5), upper_min._chain_window: a cap-level edge
-    entering two or more chain members is pinned at beta, entering one
-    narrowed to [beta-1, beta], crossing nothing capped at beta-1; any
-    other edge entering a member is pinned at its upper bound, and any
-    edge leaving one at its lower bound.  Returns (f', g', narrowed),
-    where narrowed holds the cap-level edges entering a member,
-    collected in edge-id order.
-    """
-    for e in sorted(level_set):
-        if problem.upper[e] != beta:
-            raise InternalCertificateFailure(
-                f"cap-level edge {e} must sit at beta {beta}"
-            )
-    f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
-    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
-    return f_prime, g_prime, narrowed
 
 
 def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, ...]]:
@@ -182,7 +155,22 @@ def incmax_flow(problem: FlowProblem) -> FlowValues:
     """An increasingly maximal flow: the mirror image of a fair flow.
 
     z is inc-max on the focus set exactly when -z is dec-min for the
-    negated problem.
+    negated problem.  Certificates refer to the input.  InfeasibleError
+    carries the complement of the mirror's violating set: negation
+    turns the deficiency of Z into that of V - Z.  NoDecMinError
+    carries the mirror's witness reversed (ends swapped, reversed_
+    flipped, order reversed): shifting a feasible input flow along it
+    stays feasible and raises the focus values, forever.
     """
-    mirrored = decmin_flow(problem.negated())
+    try:
+        mirrored = decmin_flow(problem.negated())
+    except InfeasibleError as exc:
+        cert = exc.certificate
+        nodes = frozenset(range(problem.node_count)) - cert.nodes
+        raise InfeasibleError(certificate=CutCertificate(nodes, cert.deficiency)) from None
+    except NoDecMinError as exc:
+        witness = tuple(
+            InfArc(a.head, a.tail, a.origin, not a.reversed_) for a in reversed(exc.witness)
+        )
+        raise NoDecMinError("no inc-max flow exists", witness=witness) from None
     return tuple(-z for z in mirrored)

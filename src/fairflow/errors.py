@@ -14,11 +14,15 @@ class InfeasibleError(FairFlowError):
 
     Carries the violating node set (a Hoffman cut certificate) when one
     was computed; ``certificate`` may be None for callers that detected
-    infeasibility indirectly.
+    infeasibility indirectly.  Without a message, the certificate's set
+    and deficiency make it.
     """
 
-    def __init__(self, message: str = "no feasible flow exists", certificate=None):
-        super().__init__(message)
+    def __init__(self, message: str | None = None, certificate=None):
+        if message is None and certificate is not None:
+            nodes, deficiency = sorted(certificate.nodes), certificate.deficiency
+            message = f"no feasible flow: set {nodes} has deficiency {deficiency}"
+        super().__init__(message or "no feasible flow exists")
         self.certificate = certificate
 
 

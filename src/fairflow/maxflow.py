@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency, _int, _ints, imbalances
+from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints, imbalances
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 
@@ -290,11 +290,7 @@ def require_feasible(problem: FlowProblem) -> FlowValues:
     """find_feasible_mflow, raising InfeasibleError on a certificate."""
     outcome = find_feasible_mflow(problem)
     if isinstance(outcome, CutCertificate):
-        raise InfeasibleError(
-            f"no feasible flow: set {sorted(outcome.nodes)} has "
-            f"deficiency {outcome.deficiency}",
-            certificate=outcome,
-        )
+        raise InfeasibleError(certificate=outcome)
     return outcome
 
 
@@ -325,10 +321,7 @@ def nd_cut_subroutine(
     m = problem.edge_count
     if len(g_prime) != m:
         raise ValueError("g_prime must have one entry per edge")
-    level = set(level_edges)
-    for e in level:
-        if e not in range(m):
-            raise ValueError(f"level edge id {e!r} out of range")
+    level = _edge_ids(level_edges, m, "level edge id")
     if start is not None:
         if len(start) != m:
             raise ValueError("start must have one entry per edge")

@@ -6,17 +6,20 @@ together with a nested chain of node sets certifying the minimum:
 
     min #saturated = in_L(chain) - sum(in_upper(Vi) - out_lower(Vi) - supply(Vi))
 
-The construction adds a unit-capacity parallel copy of every L-edge,
-lowers the original's upper bound by one, prices copies at one and
-everything else at zero, and solves a min-cost flow.  The copy flow
-counts the saturated edges; shortest-path potentials of the optimal
-residual, compressed to consecutive integer levels, cut out the chain.
+One min-cost flow gives both.  The extended problem keeps the original
+edges, with upper - 1 on L, and appends a [0, 1] parallel copy of each
+L-edge in id order; copies cost one and everything else zero.  The copy
+flow counts the saturated edges, and folding it back onto the originals
+gives the flow.  Shortest-path potentials of the optimal residual,
+compressed to consecutive integer levels from zero, cut out the chain:
+its members are the upper level sets of the positive levels.
 
 Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
 always indicates a bug, never a property of the input.  The criteria
-are one window per edge (_chain_window), which reduction rounds reuse
-as their rewritten bounds.
+are one window per edge (_chain_window): verify_O1_O5 checks flows
+against it, and apply_round_bounds returns it as a reduction round's
+rewritten bounds.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, build_costed_residual
+from .core import Digraph, FlowProblem, FlowValues, _edge_ids, build_costed_residual
 from .errors import InternalCertificateFailure
-from .extint import ExtInt, as_extint
+from .extint import ExtInt
 from .maxflow import hoffman_deficiency
 from .mincost import min_cost_mflow, residual_potentials
 
@@ -57,73 +60,16 @@ class Chain:
         return depth
 
 
-@dataclass(frozen=True)
-class ParallelCopyProblem:
-    """The unit-copy construction for counting saturated edges.
-
-    extended is the base problem plus one parallel copy per L-edge:
-    originals keep their lower bound and get upper-1 on L, copies are
-    [0, 1] edges costing 1 while everything else costs 0.  copy_pairs
-    maps each L-edge id to its copy's edge id in the extended graph.
-    """
-
-    base: FlowProblem
-    level_edges: frozenset[int]
-    extended: FlowProblem
-    copy_pairs: tuple[tuple[int, int], ...]
-
-    def pull_back(self, extended_values: Sequence[int]) -> FlowValues:
-        """Fold copy flow back onto the originals."""
-        values = list(extended_values[: self.base.edge_count])
-        for orig, copy in self.copy_pairs:
-            values[orig] += extended_values[copy]
-        return tuple(values)
-
-
-def build_parallel_copy(problem: FlowProblem, level_edges: Iterable[int]) -> ParallelCopyProblem:
-    level = frozenset(level_edges)
-    for e in sorted(level):
-        if not (problem.lower[e].is_finite and problem.upper[e].is_finite):
-            raise ValueError(f"edge {e} needs finite bounds to be counted")
-        if problem.lower[e] == problem.upper[e]:
-            raise ValueError(f"edge {e} is tight; remove it from the count set")
-    edges = list(problem.graph.edges)
-    lower = list(problem.lower)
-    upper = [
-        problem.upper[e] - 1 if e in level else problem.upper[e]
-        for e in range(problem.edge_count)
-    ]
-    cost = [0] * problem.edge_count
-    pairs = []
-    for e in sorted(level):
-        copy_id = len(edges)
-        edges.append(problem.graph.edges[e])
-        lower.append(as_extint(0))
-        upper.append(as_extint(1))
-        cost.append(1)
-        pairs.append((e, copy_id))
-    extended = FlowProblem(
-        graph=Digraph(problem.node_count, tuple(edges)),
-        lower=tuple(lower),
-        upper=tuple(upper),
-        supply=problem.supply,
-        focus=frozenset(),
-        cost=tuple(cost),
-    )
-    return ParallelCopyProblem(problem, level, extended, tuple(pairs))
-
-
-# -- dual extraction -------------------------------------------------------
-
-
-def _compress_levels(values: Sequence[int]) -> list[int]:
-    """Monotone map onto 0..q keeping the distinct-value structure."""
-    rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
-
-
 def _slackness_holds(extended: FlowProblem, values: Sequence[int], y: Sequence[int]) -> bool:
-    """Complementary slackness of (values, y) for the extended program."""
+    """Complementary slackness of (values, y) for a costed program.
+
+    It holds by construction for the extended program: residual
+    potentials give y(v) - y(u) <= c on an edge u->v below its upper
+    bound and >= c on one above its lower bound, and with costs c in
+    {0, 1} the compression to consecutive levels, which keeps each
+    difference's sign and never enlarges it, preserves both.  This
+    re-checks it.
+    """
     cost = extended.cost or (0,) * extended.edge_count
     for e, (u, v) in enumerate(extended.graph.edges):
         dy = y[v] - y[u]
@@ -132,36 +78,6 @@ def _slackness_holds(extended: FlowProblem, values: Sequence[int], y: Sequence[i
         if dy > cost[e] and values[e] != extended.upper[e]:
             return False
     return True
-
-
-def extract_chain_from_duals(
-    pcp: ParallelCopyProblem, extended_values: Sequence[int]
-) -> Chain:
-    """Optimal dual chain from the residual of an optimal extended flow.
-
-    Potentials are shortest distances in the costed residual (raises
-    NegativeCycleError when the flow is not optimal), compressed to
-    consecutive levels from zero; the chain collects the upper level
-    sets of every positive level (none for an all-zero potential).
-
-    Complementary slackness holds by construction: residual potentials
-    give y(v) - y(u) <= c on an edge u->v below its upper bound and
-    >= c on one above its lower bound, and with costs c in {0, 1} the
-    compression, which keeps each difference's sign and never enlarges
-    it, preserves both.  _slackness_holds re-checks this.
-    """
-    residual = build_costed_residual(pcp.extended, extended_values)
-    y = _compress_levels(residual_potentials(residual))
-    if not _slackness_holds(pcp.extended, extended_values, y):
-        raise InternalCertificateFailure(
-            "residual potentials violate complementary slackness"
-        )
-    return Chain(
-        tuple(
-            frozenset(v for v in range(pcp.base.node_count) if y[v] >= i)
-            for i in range(1, max(y) + 1)
-        )
-    )
 
 
 # -- optimality criteria ----------------------------------------------------
@@ -205,10 +121,7 @@ def _chain_window(
 
 
 def verify_O1_O5(
-    problem: FlowProblem,
-    level_edges: Iterable[int],
-    values: Sequence[int],
-    chain: Chain,
+    problem: FlowProblem, level_edges: Iterable[int], values: Sequence[int], chain: Chain
 ) -> list[str]:
     """Check the five saturation-optimality criteria; empty list means pass.
 
@@ -216,7 +129,8 @@ def verify_O1_O5(
     gives it; one message per edge outside, starting with the label of
     the criterion it violates.
     """
-    lower, upper, criteria = _chain_window(problem, frozenset(level_edges), chain)
+    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    lower, upper, criteria = _chain_window(problem, level, chain)
     return [
         f"{label}: edge {e} has value {values[e]}, outside [{lower[e]}, {upper[e]}]"
         for e, label in enumerate(criteria)
@@ -224,12 +138,36 @@ def verify_O1_O5(
     ]
 
 
+def apply_round_bounds(
+    problem: FlowProblem, beta: int, level_set: Iterable[int], chain: Chain
+) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], frozenset[int]]:
+    """Rewrite a reduction round's bounds from the chain geometry.
+
+    Every cap-level edge must sit at beta.  (f', g') are the windows of
+    the criteria (O1)-(O5), _chain_window: a cap-level edge entering
+    two or more chain members is pinned at beta, entering one narrowed
+    to [beta-1, beta], crossing nothing capped at beta-1; any other
+    edge entering a member is pinned at its upper bound, and any edge
+    leaving one at its lower bound.  Returns (f', g', narrowed), where
+    narrowed holds the cap-level edges entering a member, collected in
+    edge-id order.
+    """
+    level_set = _edge_ids(level_set, problem.edge_count, "level edge id")
+    for e in sorted(level_set):
+        if problem.upper[e] != beta:
+            raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
+    f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
+    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
+    return f_prime, g_prime, narrowed
+
+
 def chain_dual_value(
     problem: FlowProblem, level_edges: Iterable[int], chain: Chain
 ) -> int:
     """Dual objective: entered L-edges minus the chain's slack terms."""
     depth = chain.depth(problem.node_count)
-    edges = [problem.graph.edges[e] for e in frozenset(level_edges)]
+    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    edges = [problem.graph.edges[e] for e in level]
     entered = sum(1 for u, v in edges if depth[v] > depth[u])
     # a member's slack in_upper - out_lower - supply is minus its deficiency
     return entered + sum(hoffman_deficiency(problem, m).finite for m in chain.sets)
@@ -240,26 +178,51 @@ def solve_upper_minimizer(
 ) -> tuple[FlowValues, Chain, int]:
     """Feasible flow saturating as few ``level_edges`` as possible.
 
-    Returns (flow, chain, saturated_count); the chain certifies the
-    count through the criteria (O1)-(O5) and the min-max equality, both
-    of which are re-verified before returning.  Raises InfeasibleError
-    when the problem has no feasible flow at all.
+    Level edge ids must be ints (TypeError) in range(edge_count), each
+    with finite, non-tight bounds (ValueError).  Returns (flow, chain,
+    saturated_count) from the min-cost flow of the extended problem
+    (module docstring).  Before returning it re-checks complementary
+    slackness of the compressed potentials, the criteria (O1)-(O5),
+    that every chain member is a proper subset with a finite boundary
+    term, and that the chain's dual value equals the count.  Raises
+    InfeasibleError when the problem has no feasible flow at all.
     """
-    pcp = build_parallel_copy(problem, level_edges)
-    extended_values = min_cost_mflow(pcp.extended)
-    count = sum(extended_values[copy] for _, copy in pcp.copy_pairs)
-    values = pcp.pull_back(extended_values)
-    chain = extract_chain_from_duals(pcp, extended_values)
-    problems = verify_O1_O5(problem, pcp.level_edges, values, chain)
+    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    copied = sorted(level)
+    for e in copied:
+        if not (problem.lower[e].is_finite and problem.upper[e].is_finite):
+            raise ValueError(f"edge {e} needs finite bounds to be counted")
+        if problem.lower[e] == problem.upper[e]:
+            raise ValueError(f"edge {e} is tight; remove it from the count set")
+    m, k, edges = problem.edge_count, len(copied), problem.graph.edges
+    extended = FlowProblem(
+        graph=Digraph(problem.node_count, edges + tuple(edges[e] for e in copied)),
+        lower=problem.lower + (ExtInt(0),) * k,
+        upper=tuple(hi - 1 if e in level else hi for e, hi in enumerate(problem.upper))
+        + (ExtInt(1),) * k,
+        supply=problem.supply,
+        cost=(0,) * m + (1,) * k,
+    )
+    extended_values = min_cost_mflow(extended)
+    copy_flow = dict(zip(copied, extended_values[m:]))
+    count = sum(copy_flow.values())
+    values = tuple(z + copy_flow.get(e, 0) for e, z in enumerate(extended_values[:m]))
+    # NegativeCycleError here would mean the min-cost flow is not optimal
+    potentials = residual_potentials(build_costed_residual(extended, extended_values))
+    rank = {p: i for i, p in enumerate(sorted(set(potentials)))}
+    y = [rank[p] for p in potentials]
+    if not _slackness_holds(extended, extended_values, y):
+        raise InternalCertificateFailure("residual potentials violate complementary slackness")
+    levels = range(1, max(y) + 1)
+    chain = Chain(tuple(frozenset(v for v, yv in enumerate(y) if yv >= i) for i in levels))
+    problems = verify_O1_O5(problem, level, values, chain)
     if problems:
-        raise InternalCertificateFailure(
-            "saturation criteria failed: " + "; ".join(problems)
-        )
+        raise InternalCertificateFailure("saturation criteria failed: " + "; ".join(problems))
     for member in chain.sets:
         if len(member) >= problem.node_count:
             raise InternalCertificateFailure("chain member is not a proper subset")
         if not hoffman_deficiency(problem, member).is_finite:
             raise InternalCertificateFailure("chain member has an infinite boundary term")
-    if chain_dual_value(problem, pcp.level_edges, chain) != count:
+    if chain_dual_value(problem, level, chain) != count:
         raise InternalCertificateFailure("dual chain value does not match count")
     return values, chain, count

@@ -189,6 +189,32 @@ class TestPotentialVector:
             tested += 1
 
 
+    def test_perturbed_potential_rejected(self):
+        # raise one arc's head a unit above what the arc allows at the
+        # top level: the checker must name that arc infeasible
+        from fairflow import decmin_flow
+
+        rng = random.Random(109)
+        rejected = 0
+        while rejected < 40:
+            problem = random_problem(rng, max_nodes=5, feasible=True)
+            aux, cost = build_level_cost(problem, decmin_flow(problem))
+            outcome = build_potential_vector(aux, cost)
+            assert potential_is_feasible(aux, cost, outcome)
+            arcs = [i for i, arc in enumerate(aux.arcs) if arc.tail != arc.head]
+            if not arcs or not cost.dimension:
+                continue
+            i = rng.choice(arcs)
+            arc = aux.arcs[i]
+            values = list(outcome.values)
+            bumped = [p + c for p, c in zip(values[arc.tail], cost.vector(i))]
+            bumped[0] += 1
+            values[arc.head] = tuple(bumped)
+            perturbed = PotentialVector(outcome.dimension, tuple(values))
+            assert not potential_is_feasible(aux, cost, perturbed)
+            rejected += 1
+
+
 class TestIsDecmin:
     def test_asym_verdicts(self, asym):
         good = is_decmin(asym, (2, 1, 3))

@@ -80,6 +80,19 @@ class TestCommands:
         assert payload["level_set"] == [0]
         assert payload["nd_trace"]["mu_min"] == 1
 
+    def test_narrow_box_trace(self, capsys, asym_file):
+        code, out, _ = run(capsys, "narrow-box", asym_file, "--trace")
+        assert code == 0
+        first, last = json.loads(out)["rounds"]
+        assert (first["beta"], first["level_set"], first["narrowed"]) == (2, [0], [0])
+        assert first["chain"] == [[1, 2]]
+        assert first["nd_trace"] == {
+            "iterations": [{"mu": 0, "argmax": [1, 2], "p": 1, "b": 1}],
+            "mu_min": 1,
+        }
+        assert (last["beta"], last["chain"], last["removed_tight"]) == (None, None, [1])
+        assert "nd_trace" not in last
+
     def test_narrow_box(self, capsys, asym_file):
         code, out, _ = run(capsys, "narrow-box", asym_file)
         payload = json.loads(out)
@@ -196,6 +209,13 @@ class TestErrors:
         _, second, _ = run(capsys, "decmin", asym_file, "--trace")
         assert first == second
 
+    @pytest.mark.parametrize("limit", ["max_edges", "depth=3", "max_edges=x"])
+    def test_malformed_limits_are_input_errors(self, capsys, asym_file, limit):
+        code, out, err = run(capsys, "oracle", "decmin", asym_file, "--limits", limit)
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+        assert "--limits" in err
+
     def test_oracle_limit_error_is_input_error(self, capsys, tmp_path):
         problem = build(2, [(0, 1)], [0], [9], [0, 0])
         path = tmp_path / "wide.json"
@@ -206,6 +226,19 @@ class TestErrors:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command", ["decmin", "narrow-box", "cheapest-decmin", "report", "incmax"]
+    )
+    def test_infeasible_problem_exits_1_with_certificate(self, capsys, infeasible_file, command):
+        # incmax solves the mirror problem but reports the input's set
+        code, out, _ = run(capsys, command, infeasible_file)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "infeasible"
+        assert payload["violating_set"] == [1]
+        assert payload["deficiency"] == 1
+        assert payload["message"] == "no feasible flow: set [1] has deficiency 1"
+
     def test_beta_on_infinite_focus_bound_is_input_error(self, capsys, tmp_path):
         problem = build(2, [(0, 1)], [0], ["+inf"], [-1, 1], focus=[0])
         path = tmp_path / "infinite.json"

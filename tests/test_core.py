@@ -80,6 +80,21 @@ class TestProblemValidation:
         with pytest.raises(TypeError, match="^node_count must be an int"):
             Digraph(node_count, edges)
 
+    @pytest.mark.parametrize(
+        "lower, upper, supply, focus, cost, message",
+        [
+            ([0], [1, 1], [0, 0], (), None, "bounds must have one entry per edge"),
+            ([0, 0], [1], [0, 0], (), None, "bounds must have one entry per edge"),
+            ([0], [1], [0, 0, 0], (), None, "supply must have one entry per node"),
+            ([0], [1], [0, 0], (), [1, 2], "cost must have one entry per edge"),
+            ([0], [1], [0, 0], (1,), None, "focus edge id 1 out of range"),
+            ([0], [1], [0, 0], (-1,), None, "focus edge id -1 out of range"),
+        ],
+    )
+    def test_lengths_and_focus_range_checked(self, lower, upper, supply, focus, cost, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(2, [(0, 1)], lower, upper, supply, focus=focus, cost=cost)
+
     def test_infinities_on_wrong_side(self):
         with pytest.raises(ValueError):
             build(2, [(0, 1)], ["+inf"], ["+inf"], [0, 0])

@@ -3,16 +3,24 @@ import random
 import pytest
 
 from fairflow import (
+    NEG_INF,
+    POS_INF,
     Chain,
+    Digraph,
     ExtInt,
+    FlowProblem,
     InfeasibleError,
+    NoDecMinError,
     apply_round_bounds,
     cheapest_decmin_flow,
     check_flow,
     decmin_flow,
+    find_feasible_mflow,
     focus_profile,
+    hoffman_deficiency,
     incmax_flow,
     narrow_box,
+    shift_along_witness,
 )
 from fairflow.oracle import (
     enumerate_flows,
@@ -243,3 +251,77 @@ class TestIncmax:
             inc_profile = sorted(inc[e] for e in problem.focus)
             mirror_profile = sorted(-mirrored[e] for e in problem.focus)
             assert inc_profile == mirror_profile
+
+
+class TestCertificatesReferToTheInput:
+    """Every certificate is checked against the problem the caller passed."""
+
+    def test_incmax_infeasible_set(self):
+        # the mirror's violating set is {0}; the input's is its complement
+        problem = FlowProblem(Digraph(2, ((0, 1),)), (0,), (2,), (-3, 3))
+        with pytest.raises(InfeasibleError) as err:
+            incmax_flow(problem)
+        certificate = err.value.certificate
+        assert certificate.nodes == {1}
+        assert hoffman_deficiency(problem, certificate.nodes) == certificate.deficiency == 1
+        assert str(err.value) == "no feasible flow: set [1] has deficiency 1"
+
+    def test_incmax_witness_raises_the_focus(self):
+        problem = FlowProblem(
+            Digraph(2, ((0, 1), (1, 0))), (0, 0), (POS_INF, POS_INF), (0, 0), {0}
+        )
+        with pytest.raises(NoDecMinError) as err:
+            incmax_flow(problem)
+        shifted = shift_along_witness((0, 0), err.value.witness)
+        assert shifted == (1, 1)
+        assert check_flow(problem, shifted) is None
+
+    @staticmethod
+    def _check(problem, solve, sign):
+        """Run solve; check any certificate it raises; return its kind."""
+        try:
+            solve(problem)
+        except InfeasibleError as err:
+            certificate = err.certificate
+            deficiency = hoffman_deficiency(problem, certificate.nodes)
+            assert deficiency == certificate.deficiency > 0
+            return "infeasible"
+        except NoDecMinError as err:
+            witness = err.witness
+            for arc, following in zip(witness, witness[1:] + witness[:1]):
+                assert arc.head == following.tail
+            # each step follows an infinite bound of the input's edge
+            for arc in witness:
+                if arc.reversed_:
+                    assert problem.upper[arc.origin] == POS_INF
+                else:
+                    assert problem.lower[arc.origin] == NEG_INF
+            # sign -1: every focus value falls or stays, one falls; +1 mirrors it
+            moves = shift_along_witness((0,) * problem.edge_count, witness)
+            steps = [sign * moves[e] for e in problem.focus]
+            assert min(steps) >= 0 and max(steps) > 0
+            flow = find_feasible_mflow(problem)
+            if isinstance(flow, tuple):
+                assert check_flow(problem, shift_along_witness(flow, witness)) is None
+            return "no-decmin"
+        return "ok"
+
+    def test_random_certificates_check_against_the_input(self):
+        solvers = {
+            "decmin_flow": (decmin_flow, -1),
+            "cheapest_decmin_flow": (cheapest_decmin_flow, -1),
+            "narrow_box": (narrow_box, -1),
+            "incmax_flow": (incmax_flow, 1),
+        }
+        seen = {name: set() for name in solvers}
+        rng = random.Random(131)
+        for _ in range(150):
+            problem = random_problem(rng, max_nodes=5, feasible=None)
+            problem = problem.with_bounds(
+                [NEG_INF if rng.random() < 0.3 else b for b in problem.lower],
+                [POS_INF if rng.random() < 0.3 else b for b in problem.upper],
+            )
+            for name, (solve, sign) in solvers.items():
+                seen[name].add(self._check(problem, solve, sign))
+        for name in solvers:
+            assert seen[name] == {"ok", "infeasible", "no-decmin"}, name

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fairflow import (
+    ExistenceResult,
     ExtInt,
     NEG_INF,
     NoDecMinError,
@@ -122,6 +123,11 @@ class TestExists:
             )
             == -1
         )
+
+    def test_result_truth_is_the_verdict(self, triangle_unbounded, diamond):
+        assert not bool(exists_decmin(triangle_unbounded))
+        assert bool(exists_decmin(diamond))
+        assert not ExistenceResult(False, ())
 
     def test_one_finite_bound_restores_existence(self, triangle_unbounded):
         pinned = triangle_unbounded.with_bounds(

@@ -43,6 +43,9 @@ class TestParse:
         "mutate, field",
         [
             (lambda d: d.pop("nodes"), "nodes"),
+            pytest.param(lambda d: d.update(nodes=0), "nodes", id="nodes-not-positive"),
+            (lambda d: d.update(edges={}), "edges"),
+            (lambda d: d["edges"].__setitem__(1, [0, 1]), "edges[1]"),
             (lambda d: d.update(supply=[1, 2]), "supply"),
             (lambda d: d.update(supply=[1, 1, 1]), "supply"),
             (lambda d: d["edges"][0].update(tail=9), "edges[0].tail"),
@@ -59,6 +62,13 @@ class TestParse:
         with pytest.raises(ProblemFormatError) as err:
             parse_problem(doc)
         assert err.value.field == field
+
+
+    @pytest.mark.parametrize("document", [[], "nodes", 3, None])
+    def test_document_must_be_an_object(self, document):
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(document)
+        assert err.value.field == "$"
 
 
 class TestRoundTrip:

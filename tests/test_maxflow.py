@@ -72,6 +72,16 @@ class TestMaxFlow:
         with pytest.raises(TypeError, match=f"^{field} must be an int"):
             max_flow(g, (1, 1), source, sink)
 
+    def test_rejects_source_equal_to_sink(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="source and sink must differ"):
+            max_flow(g, (1, 1), 1, 1)
+
+    def test_rejects_negative_capacity(self):
+        g = Digraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="edge 1 has negative capacity -1"):
+            max_flow(g, (1, -1), 0, 2)
+
     def test_rejects_extra_capacities(self):
         g = Digraph(3, ((0, 1), (1, 2)))
         with pytest.raises(ValueError, match="expected 2 capacities, got 3"):
@@ -181,6 +191,45 @@ class TestMostViolating:
             )
 
 
+    def test_matches_oracle_with_infinite_bounds(self):
+        # sets crossing an infinite bound score -inf and are never maximal
+        from fairflow import NEG_INF, oracle_most_violating
+
+        rng = random.Random(47)
+        for _ in range(80):
+            problem = random_problem(rng, max_nodes=5, feasible=False)
+            loose = problem.with_bounds(
+                [NEG_INF if rng.random() < 0.3 else b for b in problem.lower],
+                [POS_INF if rng.random() < 0.3 else b for b in problem.upper],
+            )
+            certificate = most_violating_set(loose)
+            nodes, worst = oracle_most_violating(loose)
+            assert certificate.deficiency == worst
+            assert hoffman_deficiency(loose, nodes) == worst
+            maximizers = [
+                subset
+                for subset in all_subsets(loose.node_count)
+                if hoffman_deficiency(loose, subset) == worst
+            ]
+            assert certificate.nodes == set().union(*maximizers)
+
+
+class TestHoffmanDeficiency:
+    @pytest.mark.parametrize(
+        "lower, upper, nodes",
+        [([0], ["+inf"], {1}), (["-inf"], [0], {0})],
+        ids=["+inf entering", "-inf leaving"],
+    )
+    def test_minus_infinity_across_an_infinite_bound(self, lower, upper, nodes):
+        from fairflow import NEG_INF
+
+        problem = build(3, [(0, 1), (2, 2)], lower + [0], upper + [1], [-5, 5, 0])
+        assert hoffman_deficiency(problem, nodes) == NEG_INF
+        # the same set is finite once the edge no longer crosses it
+        assert hoffman_deficiency(problem, {0, 1}).is_finite
+        assert hoffman_deficiency(problem, {2}) == 0
+
+
 class TestNdCutSubroutine:
     @staticmethod
     def objective(problem, level, g_prime, mu, nodes):
@@ -288,6 +337,23 @@ class TestNdCutSubroutine:
         for level in ([99], [-1], [0, 1]):
             with pytest.raises(ValueError, match="out of range"):
                 nd_cut_subroutine(problem, level, problem.upper, 1)
+
+    def test_rejects_non_int_level_edges(self):
+        # 0.0 in range(3) is true, and True used to be taken as edge 1
+        problem = build(2, [(0, 1), (1, 0), (0, 1)], [0, 0, 0], [3, 3, 3], [0, 0])
+        for level in ([True], [0.0], [1.0], [0, "2"]):
+            with pytest.raises(TypeError, match="level edge id must be an int"):
+                nd_cut_subroutine(problem, level, problem.upper, 1)
+
+    def test_rejects_negative_mu(self):
+        problem = build(2, [(0, 1)], [0], [3], [0, 0])
+        with pytest.raises(ValueError, match="mu must be non-negative"):
+            nd_cut_subroutine(problem, set(), problem.upper, -1)
+
+    def test_rejects_g_prime_below_lower(self):
+        problem = build(2, [(0, 1), (1, 0)], [0, 2], [3, 3], [0, 0])
+        with pytest.raises(ValueError, match=r"dominate lower \(edge 1\)"):
+            nd_cut_subroutine(problem, set(), (ExtInt(0), ExtInt(1)), 0)
 
     def test_rejects_non_int_mu(self):
         problem = build(2, [(0, 1)], [0], [3], [0, 0])

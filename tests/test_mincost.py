@@ -134,7 +134,14 @@ class TestMinCost:
         problem = build(
             2, [(0, 1), (1, 0)], [0, 0], ["+inf", "+inf"], [0, 0], cost=[-1, 0]
         )
-        with pytest.raises(UnboundedCostError):
+        with pytest.raises(UnboundedCostError, match="negative cost and upper bound"):
+            min_cost_mflow(problem)
+
+    def test_unbounded_guard_on_a_minus_infinite_lower(self):
+        problem = build(
+            2, [(0, 1), (1, 0)], ["-inf", "-inf"], [0, 0], [0, 0], cost=[0, 1]
+        )
+        with pytest.raises(UnboundedCostError, match="edge 1 has positive cost and lower"):
             min_cost_mflow(problem)
 
     def test_optimal_residual_is_conservative(self):

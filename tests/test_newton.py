@@ -118,6 +118,12 @@ class TestComputeBeta:
         assert result.beta == 1
         assert result.saturated_level_set == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("lower, upper", [(["-inf"], [2]), ([0], ["+inf"])])
+    def test_rejects_infinite_focus_bounds(self, lower, upper):
+        problem = build(2, [(0, 1)], lower, upper, [-1, 1], focus=[0])
+        with pytest.raises(ValueError, match="finite bounds on the focus set"):
+            compute_beta(problem)
+
     def test_tight_edge_removed(self):
         problem = build(
             2, [(0, 1), (0, 1)], [1, 0], [1, 2], [-2, 2], focus=[0, 1]

@@ -4,16 +4,15 @@ import pytest
 
 from fairflow import (
     Chain,
-    build_parallel_copy,
+    apply_round_bounds,
     chain_dual_value,
     check_flow,
     compute_beta,
-    extract_chain_from_duals,
-    min_cost_mflow,
     solve_upper_minimizer,
     verify_O1_O5,
 )
 from fairflow.oracle import oracle_min_saturated
+from fairflow.upper_min import _slackness_holds
 
 from conftest import build, random_problem
 
@@ -67,27 +66,49 @@ class TestChain:
                     assert (depth[v] - depth[u] < 0) == leaves
 
 
+@pytest.fixture
+def capped(asym):
+    """The asym graph of the README with uppers (3, 1, 3): edge 2 must carry 3."""
+    return asym.with_bounds(upper=(3, 1, 3))
+
+
 class TestParallelCopy:
-    def test_structure(self, asym):
-        clamped = asym.with_bounds(upper=compute_beta(asym).clamped_upper)
-        pcp = build_parallel_copy(clamped, {0})
-        assert pcp.extended.edge_count == 4
-        assert pcp.copy_pairs == ((0, 3),)
-        assert pcp.extended.upper[0] == 1  # dropped by one
-        assert pcp.extended.upper[3] == 1 and pcp.extended.lower[3] == 0
-        assert pcp.extended.cost == (0, 0, 0, 1)
+    """The unit-copy construction counts only finite, non-tight edges of the graph."""
 
     def test_rejects_tight_or_infinite(self):
-        problem = build(2, [(0, 1)], [1], [1], [-1, 1])
-        with pytest.raises(ValueError):
-            build_parallel_copy(problem, {0})
+        for lower, upper, message in (
+            ([1], [1], "edge 0 is tight"),
+            (["-inf"], [1], "edge 0 needs finite bounds"),
+            ([0], ["+inf"], "edge 0 needs finite bounds"),
+        ):
+            problem = build(2, [(0, 1)], lower, upper, [-1, 1])
+            with pytest.raises(ValueError, match=message):
+                solve_upper_minimizer(problem, {0})
 
-    def test_min_cost_counts_saturations(self, asym):
-        # the asym instance clamped at its cap forces one saturated edge
-        clamped = asym.with_bounds(upper=compute_beta(asym).clamped_upper)
-        pcp = build_parallel_copy(clamped, {0})
-        extended = min_cost_mflow(pcp.extended)
-        assert sum(extended[c] for _, c in pcp.copy_pairs) == 1
+    @pytest.mark.parametrize("level", [{-1}, {3}, [0, 3]])
+    def test_rejects_level_ids_out_of_range(self, capped, level):
+        # -1 used to count edge 2 (count 0, though {2} gives 1), and 3
+        # raised a bare IndexError
+        for call in (
+            lambda: solve_upper_minimizer(capped, level),
+            lambda: verify_O1_O5(capped, level, (1, 1, 2), Chain(())),
+            lambda: chain_dual_value(capped, level, Chain(())),
+            lambda: apply_round_bounds(capped, 3, frozenset(level), Chain(())),
+        ):
+            with pytest.raises(ValueError, match="level edge id .* out of range"):
+                call()
+
+    @pytest.mark.parametrize("level", [{True}, {1.0}, [0, 0.0], {"1"}])
+    def test_rejects_non_int_level_ids(self, capped, level):
+        # True used to be taken as edge 1
+        for call in (
+            lambda: solve_upper_minimizer(capped, level),
+            lambda: verify_O1_O5(capped, level, (1, 1, 2), Chain(())),
+            lambda: chain_dual_value(capped, level, Chain(())),
+            lambda: apply_round_bounds(capped, 3, level, Chain(())),
+        ):
+            with pytest.raises(TypeError, match="level edge id must be an int"):
+                call()
 
 
 class TestSolve:
@@ -159,6 +180,35 @@ class TestSolve:
         assert len(chain) == 0
 
 
+class TestSlackness:
+    def test_interior_edge_needs_equal_potentials(self):
+        # value 1 inside [0, 2] at cost 0: only dy == 0 is slack-compatible
+        problem = build(2, [(0, 1)], [0], [2], [-1, 1], cost=[0])
+        assert _slackness_holds(problem, (1,), (0, 0))
+        assert not _slackness_holds(problem, (1,), (0, 1))
+        assert not _slackness_holds(problem, (1,), (1, 0))
+
+    def test_perturbed_potentials_fail_random(self):
+        # optimal flows with their residual potentials pass; moving the
+        # head of an edge strictly inside its bounds by one must fail
+        from fairflow import build_costed_residual, min_cost_mflow, residual_potentials
+
+        rng = random.Random(67)
+        perturbed = 0
+        for _ in range(60):
+            problem = random_problem(rng, feasible=True, costs=True)
+            flow = min_cost_mflow(problem)
+            y = residual_potentials(build_costed_residual(problem, flow))
+            assert _slackness_holds(problem, flow, y)
+            for e, (u, v) in enumerate(problem.graph.edges):
+                if u != v and problem.lower[e] < flow[e] < problem.upper[e]:
+                    bad = list(y)
+                    bad[v] += rng.choice([-1, 1])
+                    assert not _slackness_holds(problem, flow, bad)
+                    perturbed += 1
+        assert perturbed > 20
+
+
 class TestVerify:
     def test_perturbed_flow_trips_O5(self):
         # two parallel routes, only one unit: pushing the counted edge
@@ -169,10 +219,3 @@ class TestVerify:
         forced = (2, 0)
         violations = verify_O1_O5(problem, {0}, forced, chain)
         assert any(v.startswith("O5") for v in violations)
-
-    def test_extract_empty_chain_when_cost_zero(self):
-        problem = build(2, [(0, 1), (0, 1)], [0, 0], [3, 3], [-2, 2])
-        pcp = build_parallel_copy(problem, {0, 1})
-        extended = min_cost_mflow(pcp.extended)
-        chain = extract_chain_from_duals(pcp, extended)
-        assert len(chain) == 0
