@@ -93,7 +93,7 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
         chain, f_prime, g_prime, narrowed = None, lower, upper, frozenset()
         if focus:
             clamped = problem.with_bounds(lower, upper, focus)
-            flow, chain, count = solve_upper_minimizer(clamped, level_set)
+            flow, chain, count = solve_upper_minimizer(clamped, level_set, flow)
             if count == 0:
                 raise InternalCertificateFailure(
                     "no flow reaches the cap even though the cap is minimal"

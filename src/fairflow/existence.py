@@ -132,15 +132,15 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
     by the searches that decide existence.  Identity when the focus
     bounds are already finite.
 
-    Requires a fair flow to exist (NoDecMinError with exists_decmin's
-    witness, checked first) and a feasible problem (InfeasibleError).
+    Requires a feasible problem (InfeasibleError, checked first) and a
+    fair flow to exist (NoDecMinError with exists_decmin's witness).
     """
     if problem.finite_on_focus():
         return problem
+    sample = require_feasible(problem)
     witness, regions = _focus_regions(problem)
     if witness is not None:
         raise NoDecMinError(witness=witness)
-    sample = require_feasible(problem)
 
     upper = list(problem.upper)
     if any(not problem.upper[e].is_finite for e in problem.focus):

@@ -15,6 +15,10 @@ graph and supplies under bounds (lower, upper).
   the oracle of the Newton driver.  This is minus the deficiency under
   the bounds (lower, g' + mu on L).
 
+upper_min.solve_upper_minimizer runs its primal-dual phases on this
+network too, one max_flow each over the arcs of zero reduced cost; all
+phases together route at most D, so the surrogate below stays exact.
+
 Why one network answers all three.  Edge e starts at a finite point b
 of its bounds: a caller's start value clamped into the bounds, or else
 the lower bound, min(0, upper) or 0, whichever is finite first.  Node
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints, imbalances
+from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 
@@ -216,24 +220,28 @@ def max_flow(
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _feasibility_network(
-    problem: FlowProblem, lower: Sequence, upper: Sequence, start: Sequence[int] | None = None
-):
-    """Max flow on the super-source/super-sink network under (lower, upper).
+def _start(start: Sequence[int] | None, edge_count: int) -> tuple[int, ...] | None:
+    """A caller's start flow: None, or edge_count ints (ValueError, TypeError)."""
+    if start is not None and len(start) != edge_count:
+        raise ValueError("start must have one entry per edge")
+    return None if start is None else _ints(start, "start")
 
-    Returns (net, base, sink_side, deficiency).  Edge e starts at a
-    finite point base[e] of its bounds, start[e] clamped into them when
-    a start is given; arc 2e may raise it to its upper bound and the
-    reverse arc 2e+1 may lower it to its lower bound.  sink_side is the
-    complement of the source-reachable set, and its deficiency is
-    demand_total - value (module docstring): zero exactly when the flow
-    is feasible, and the same for every start.
+
+def _super_network(
+    n: int, edges: Sequence, supply: Sequence[int], lower: Sequence, upper: Sequence, start=None
+) -> tuple[_Residual, list[int], int]:
+    """The super-source/super-sink network of ``edges`` under (lower, upper).
+
+    Returns (net, base, demand_total); the source is node n, the sink
+    n + 1.  Edge e starts at base[e], start[e] clamped into its bounds
+    when a start is given; arc 2e may raise it to its upper bound and
+    the reverse arc 2e+1 lower it to its lower bound (module docstring).
     """
-    n = problem.node_count
     source, sink = n, n + 1
     net = _Residual(n + 2)
     base = []
-    for e, (u, v) in enumerate(problem.graph.edges):
+    excess = list(supply)
+    for e, (u, v) in enumerate(edges):
         lo, hi = lower[e], upper[e]
         if start is None:
             b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
@@ -244,21 +252,34 @@ def _feasibility_network(
             elif hi.is_finite and b > hi.finite:
                 b = hi.finite
         base.append(b)
+        excess[v] -= b
+        excess[u] += b
         up = hi.finite - b if hi.is_finite else None
         down = b - lo.finite if lo.is_finite else None
         net.add_pair(u, v, up, down)
     demand_total = 0
-    for v, inflow in enumerate(imbalances(problem.graph, base)):
-        r = problem.supply[v] - inflow
+    for v, r in enumerate(excess):
         if r > 0:
             net.add_pair(v, sink, r)
             demand_total += r
         elif r < 0:
             net.add_pair(source, v, -r)
     net.resolve(demand_total + 1)
-    value, level = net.max_flow(source, sink)
-    sink_side = frozenset(v for v in range(n) if level[v] < 0)
-    return net, base, sink_side, demand_total - value
+    return net, base, demand_total
+
+
+def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence, start=None):
+    """Max flow on the _super_network of the problem under (lower, upper).
+
+    Returns (net, base, sink_side, deficiency).  sink_side is the
+    complement of the source-reachable set, and its deficiency is
+    demand_total - value (module docstring): zero exactly when the flow
+    is feasible, and the same for every start.
+    """
+    n = problem.node_count
+    net, base, demand = _super_network(n, problem.graph.edges, problem.supply, lower, upper, start)
+    value, level = net.max_flow(n, n + 1)
+    return net, base, frozenset(v for v in range(n) if level[v] < 0), demand - value
 
 
 def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
@@ -322,10 +343,7 @@ def nd_cut_subroutine(
     if len(g_prime) != m:
         raise ValueError("g_prime must have one entry per edge")
     level = _edge_ids(level_edges, m, "level edge id")
-    if start is not None:
-        if len(start) != m:
-            raise ValueError("start must have one entry per edge")
-        _ints(start, "start")
+    start = _start(start, m)
     g_prime = [as_extint(g) for g in g_prime]
     for e, g in enumerate(g_prime):
         if g == NEG_INF:

@@ -77,9 +77,7 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     canceled circuit lowers the cost by at least one.  Taking the first
     circuit found, the number of cancellations is therefore bounded only
     by the initial cost gap, O(m*C*U) for costs up to C in absolute
-    value and finite bound widths up to U: pseudo-polynomial.  Under the
-    0/1 costs of the upper-minimizer the gap is at most |L|, the number
-    of counted edges, so there are at most |L| cancellations.
+    value and finite bound widths up to U: pseudo-polynomial.
     """
     cost = problem.cost or (0,) * problem.edge_count
     for e in range(problem.edge_count):

@@ -6,13 +6,27 @@ together with a nested chain of node sets certifying the minimum:
 
     min #saturated = in_L(chain) - sum(in_upper(Vi) - out_lower(Vi) - supply(Vi))
 
-One min-cost flow gives both.  The extended problem keeps the original
-edges, with upper - 1 on L, and appends a [0, 1] parallel copy of each
-L-edge in id order; copies cost one and everything else zero.  The copy
-flow counts the saturated edges, and folding it back onto the originals
-gives the flow.  Shortest-path potentials of the optimal residual,
-compressed to consecutive integer levels from zero, cut out the chain:
-its members are the upper level sets of the positive levels.
+One min-cost flow with 0/1 costs gives both.  The extended program keeps
+the original edges, with upper - 1 on L, and appends a [0, 1] parallel
+copy of each L-edge in id order; copies cost one and everything else
+zero.  The copy flow counts the saturated edges, and folding it back
+onto the originals gives the flow.
+
+The primal-dual method (Ahuja, Magnanti & Orlin, Network Flows, 1993,
+section 9.8) solves it on maxflow's network of the extended program,
+from a start clamped into its bounds with the copies at zero, so every
+reduced cost c + pi(tail) - pi(head) is >= 0 at pi = 0.  Each phase
+routes what it can over the arcs of reduced cost zero by one Dinic max
+flow, then raises pi on the nodes it did not reach by the least reduced
+cost leaving the reached set; reduced costs stay >= 0.  Unit costs keep
+pi below n, so a feasible problem takes at most n phases of O(n^2 m)
+each: strongly polynomial.
+
+Shortest distances from a zero root over the final residual are the
+pointwise-largest optimal dual <= 0, which is the same for every
+optimal flow and so for every start.  Compressed to consecutive integer
+levels from zero, they cut out the chain: its members are the upper
+level sets of the positive levels.
 
 Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
@@ -27,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, _edge_ids, build_costed_residual
-from .errors import InternalCertificateFailure
+from ._bf import bellman_ford
+from .core import FlowProblem, FlowValues, _edge_ids
+from .errors import InfeasibleError, InternalCertificateFailure
 from .extint import ExtInt
-from .maxflow import hoffman_deficiency
-from .mincost import min_cost_mflow, residual_potentials
+from .maxflow import CutCertificate, _start, _super_network, hoffman_deficiency
 
 
 @dataclass(frozen=True)
@@ -58,26 +72,6 @@ class Chain:
             for v in member:
                 depth[v] += 1
         return depth
-
-
-def _slackness_holds(extended: FlowProblem, values: Sequence[int], y: Sequence[int]) -> bool:
-    """Complementary slackness of (values, y) for a costed program.
-
-    It holds by construction for the extended program: residual
-    potentials give y(v) - y(u) <= c on an edge u->v below its upper
-    bound and >= c on one above its lower bound, and with costs c in
-    {0, 1} the compression to consecutive levels, which keeps each
-    difference's sign and never enlarges it, preserves both.  This
-    re-checks it.
-    """
-    cost = extended.cost or (0,) * extended.edge_count
-    for e, (u, v) in enumerate(extended.graph.edges):
-        dy = y[v] - y[u]
-        if dy < cost[e] and values[e] != extended.lower[e]:
-            return False
-        if dy > cost[e] and values[e] != extended.upper[e]:
-            return False
-    return True
 
 
 # -- optimality criteria ----------------------------------------------------
@@ -174,18 +168,22 @@ def chain_dual_value(
 
 
 def solve_upper_minimizer(
-    problem: FlowProblem, level_edges: Iterable[int]
+    problem: FlowProblem, level_edges: Iterable[int], start: Sequence[int] | None = None
 ) -> tuple[FlowValues, Chain, int]:
     """Feasible flow saturating as few ``level_edges`` as possible.
 
     Level edge ids must be ints (TypeError) in range(edge_count), each
-    with finite, non-tight bounds (ValueError).  Returns (flow, chain,
-    saturated_count) from the min-cost flow of the extended problem
-    (module docstring).  Before returning it re-checks complementary
-    slackness of the compressed potentials, the criteria (O1)-(O5),
+    with finite, non-tight bounds (ValueError).  ``start`` is None or
+    one int per edge (ValueError, TypeError), where the phases start;
+    a start near the answer leaves little to route.  Returns (flow,
+    chain, saturated_count) from the primal-dual phases, at most n
+    (module docstring); the chain and count are the same for every
+    start.  Before returning it re-checks complementary slackness of the
+    compressed potentials on the final residual, the criteria (O1)-(O5),
     that every chain member is a proper subset with a finite boundary
     term, and that the chain's dual value equals the count.  Raises
-    InfeasibleError when the problem has no feasible flow at all.
+    InfeasibleError, with require_feasible's certificate, when the
+    problem has no feasible flow at all.
     """
     level = _edge_ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
@@ -194,24 +192,54 @@ def solve_upper_minimizer(
             raise ValueError(f"edge {e} needs finite bounds to be counted")
         if problem.lower[e] == problem.upper[e]:
             raise ValueError(f"edge {e} is tight; remove it from the count set")
-    m, k, edges = problem.edge_count, len(copied), problem.graph.edges
-    extended = FlowProblem(
-        graph=Digraph(problem.node_count, edges + tuple(edges[e] for e in copied)),
-        lower=problem.lower + (ExtInt(0),) * k,
-        upper=tuple(hi - 1 if e in level else hi for e, hi in enumerate(problem.upper))
-        + (ExtInt(1),) * k,
-        supply=problem.supply,
-        cost=(0,) * m + (1,) * k,
+    n, m, k, edges = problem.node_count, problem.edge_count, len(copied), problem.graph.edges
+    start = _start(start, m)
+    upper = tuple(hi - 1 if e in level else hi for e, hi in enumerate(problem.upper))
+    net, base, demand = _super_network(
+        n, edges + tuple(edges[e] for e in copied), problem.supply,
+        problem.lower + (ExtInt(0),) * k, upper + (ExtInt(1),) * k,
+        None if start is None else start + (0,) * k,
     )
-    extended_values = min_cost_mflow(extended)
-    copy_flow = dict(zip(copied, extended_values[m:]))
-    count = sum(copy_flow.values())
-    values = tuple(z + copy_flow.get(e, 0) for e, z in enumerate(extended_values[:m]))
-    # NegativeCycleError here would mean the min-cost flow is not optimal
-    potentials = residual_potentials(build_costed_residual(extended, extended_values))
+    arcs, head, res = range(2 * (m + k)), net.head, net.res  # the real arcs
+    tail = [head[a ^ 1] for a in arcs]
+    cost = [0] * (2 * m) + [1, -1] * k
+    pi = [0] * n  # the super-terminal arcs are always admissible
+    routed = 0
+    while True:
+        hidden = [(a, res[a]) for a in arcs if res[a] and cost[a] + pi[tail[a]] != pi[head[a]]]
+        for a, _ in hidden:
+            res[a] = 0
+        value, reached = net.max_flow(n, n + 1)
+        for a, r in hidden:
+            res[a] = r
+        routed += value
+        if routed == demand:
+            break
+        leaving = [cost[a] + pi[tail[a]] - pi[head[a]]
+                   for a in arcs if res[a] and reached[tail[a]] >= 0 > reached[head[a]]]
+        if not leaving:  # the unreached nodes are the union of the maximizers
+            unreached = frozenset(v for v in range(n) if reached[v] < 0)
+            raise InfeasibleError(certificate=CutCertificate(unreached, demand - routed))
+        delta = min(leaving)
+        if delta <= 0:
+            raise InternalCertificateFailure(f"a phase left reduced cost {delta} uncrossed")
+        for v in range(n):
+            if reached[v] < 0:
+                pi[v] += delta
+    flow = [b + net.pushed(2 * e) for e, b in enumerate(base)]
+    copy_flow = dict(zip(copied, flow[m:]))
+    count = sum(flow[m:])
+    values = tuple(z + copy_flow.get(e, 0) for e, z in enumerate(flow[:m]))
+    present = [a for a in arcs if res[a]]
+    potentials, cycle = bellman_ford(
+        n, [tail[a] for a in present], [head[a] for a in present], [cost[a] for a in present]
+    )
+    if cycle is not None:
+        raise InternalCertificateFailure("the final residual has a negative cycle")
     rank = {p: i for i, p in enumerate(sorted(set(potentials)))}
     y = [rank[p] for p in potentials]
-    if not _slackness_holds(extended, extended_values, y):
+    # compressing keeps the sign of each difference and never enlarges it
+    if any(y[head[a]] - y[tail[a]] > cost[a] for a in present):
         raise InternalCertificateFailure("residual potentials violate complementary slackness")
     levels = range(1, max(y) + 1)
     chain = Chain(tuple(frozenset(v for v, yv in enumerate(y) if yv >= i) for i in levels))

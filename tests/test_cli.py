@@ -239,6 +239,22 @@ class TestExitCodes:
         assert payload["deficiency"] == 1
         assert payload["message"] == "no feasible flow: set [1] has deficiency 1"
 
+    @pytest.mark.parametrize("command", ["decmin", "incmax"])
+    def test_infeasible_problem_with_a_circuit_exits_1_as_infeasible(
+        self, capsys, tmp_path, command
+    ):
+        # node 0 has no edge to send its unit on; the focus self-loop also
+        # closes an unboundedness circuit, but infeasibility is reported
+        problem = build(2, [(0, 0)], ["-inf"], ["+inf"], [-1, 1], focus=[0])
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(problem_to_json(problem)))
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "infeasible"
+        assert payload["violating_set"] == [1]
+        assert payload["deficiency"] == 1
+
     def test_beta_on_infinite_focus_bound_is_input_error(self, capsys, tmp_path):
         problem = build(2, [(0, 1)], [0], ["+inf"], [-1, 1], focus=[0])
         path = tmp_path / "infinite.json"

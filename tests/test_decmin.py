@@ -266,6 +266,17 @@ class TestCertificatesReferToTheInput:
         assert hoffman_deficiency(problem, certificate.nodes) == certificate.deficiency == 1
         assert str(err.value) == "no feasible flow: set [1] has deficiency 1"
 
+    def test_infeasible_input_with_a_circuit_is_infeasible(self):
+        # node 0 has no edge to send its unit on; the focus self-loop also
+        # closes an unboundedness circuit, but infeasibility comes first
+        problem = FlowProblem(Digraph(2, ((0, 0),)), (NEG_INF,), (POS_INF,), (-1, 1), {0})
+        for solve in (decmin_flow, cheapest_decmin_flow, narrow_box, incmax_flow):
+            with pytest.raises(InfeasibleError) as err:
+                solve(problem)
+            certificate = err.value.certificate
+            assert certificate.nodes == {1}
+            assert hoffman_deficiency(problem, certificate.nodes) == certificate.deficiency == 1
+
     def test_incmax_witness_raises_the_focus(self):
         problem = FlowProblem(
             Digraph(2, ((0, 1), (1, 0))), (0, 0), (POS_INF, POS_INF), (0, 0), {0}

@@ -6,6 +6,7 @@ from fairflow import (
     ExistenceResult,
     ExtInt,
     NEG_INF,
+    InfeasibleError,
     NoDecMinError,
     POS_INF,
     check_flow,
@@ -248,11 +249,16 @@ class TestFinitize:
             result = exists_decmin(problem)
             if result.exists:
                 continue
-            # the missing fair flow is reported even when no flow exists at all
-            if isinstance(find_feasible_mflow(problem), CutCertificate):
-                infeasible += 1
+            # a problem without any flow is reported infeasible first
+            outcome = find_feasible_mflow(problem)
+            infeasible += isinstance(outcome, CutCertificate)
             for solve in (finitize_bounds, narrow_box, decmin_flow):
-                with pytest.raises(NoDecMinError) as caught:
-                    solve(problem)
-                assert caught.value.witness == result.witness
+                if isinstance(outcome, CutCertificate):
+                    with pytest.raises(InfeasibleError) as caught:
+                        solve(problem)
+                    assert caught.value.certificate == outcome
+                else:
+                    with pytest.raises(NoDecMinError) as caught:
+                        solve(problem)
+                    assert caught.value.witness == result.witness
             tested += 1

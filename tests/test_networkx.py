@@ -25,7 +25,9 @@ from fairflow import (
     focus_profile,
     hoffman_deficiency,
     max_flow,
+    most_violating_set,
     narrow_box,
+    solve_upper_minimizer,
 )
 from fairflow.core import imbalances
 
@@ -177,13 +179,16 @@ def test_max_flow_matches_networkx():
 # -- (b) feasibility verdicts --------------------------------------------------
 
 
-def networkx_feasible(problem):
-    """Feasibility by networkx min-cost flow after shifting the bounds.
+def shifted_network(problem, level=frozenset()):
+    """The problem as a networkx graph with node demands, bounds shifted to 0.
 
     An edge with a finite lower bound l carries l + y with 0 <= y <=
     upper - l; one with lower -inf and a finite upper u carries u - y on
     the reversed edge; one with both bounds infinite becomes two
-    uncapacitated opposite edges.  Missing capacity means +inf.
+    uncapacitated opposite edges.  Missing capacity means +inf.  A level
+    edge instead carries l + y + x, with 0 <= y <= upper - 1 - l at
+    weight 0 and a parallel unit arc x at weight 1, so a min-cost flow
+    costs the fewest saturated level edges.  Self-loops are left out.
     """
     reference = nx.MultiDiGraph()
     demand = list(problem.supply)
@@ -196,7 +201,11 @@ def networkx_feasible(problem):
         lo, hi = problem.lower[e], problem.upper[e]
         if u == v:
             continue
-        if lo.is_finite and hi.is_finite:
+        if e in level:
+            fix(u, v, lo.finite)
+            reference.add_edge(u, v, capacity=hi.finite - 1 - lo.finite, weight=0)
+            reference.add_edge(u, v, capacity=1, weight=1)
+        elif lo.is_finite and hi.is_finite:
             fix(u, v, lo.finite)
             reference.add_edge(u, v, capacity=hi.finite - lo.finite)
         elif lo.is_finite:
@@ -210,8 +219,13 @@ def networkx_feasible(problem):
             reference.add_edge(v, u)
     for node, d in enumerate(demand):
         reference.add_node(node, demand=d)
+    return reference
+
+
+def networkx_feasible(problem):
+    """Feasibility by networkx min-cost flow on the shifted network."""
     try:
-        nx.network_simplex(reference)
+        nx.network_simplex(shifted_network(problem))
     except nx.NetworkXUnfeasible:
         return False
     return True
@@ -251,6 +265,74 @@ def test_feasibility_verdict_matches_networkx():
                 assert outcome.deficiency > 0
                 assert hoffman_deficiency(problem, outcome.nodes) == outcome.deficiency
     assert verdicts == {True, False}
+
+
+def test_hoffman_deficiency_matches_networkx_min_cut():
+    # the largest deficiency is D minus the minimum cut of the network
+    # with super terminals fed by the excesses of a point of the bounds
+    rng = random.Random(212)
+    positive = 0
+    for m in SIZES:
+        for inf_share in (0.0, 0.1, 0.3):
+            n = rng.randint(m // 8, m // 3)
+            problem = random_problem(rng, n, m, 0.5, inf_share)
+            supply = list(problem.supply)
+            a, b = rng.sample(range(n), 2)
+            shift = rng.choice((0, rng.randint(1, 60)))
+            supply[a] -= shift
+            supply[b] += shift
+            problem = FlowProblem(problem.graph, problem.lower, problem.upper, tuple(supply))
+            reference = nx.DiGraph()
+            reference.add_nodes_from(("s", "t", *range(n)))
+
+            def add(u, v, cap):  # None is +inf; parallel capacities add up
+                if not reference.has_edge(u, v):
+                    reference.add_edge(u, v, capacity=0)
+                data = reference.edges[u, v]
+                if cap is None or "capacity" not in data:
+                    data.pop("capacity", None)
+                else:
+                    data["capacity"] += cap
+
+            excess = list(supply)
+            for e, (u, v) in enumerate(problem.graph.edges):
+                lo, hi = problem.lower[e], problem.upper[e]
+                point = min(max(ExtInt(0), lo), hi).finite  # 0 clamped into the bounds
+                excess[v] -= point
+                excess[u] += point
+                if u != v:
+                    add(u, v, (hi - point).finite if hi.is_finite else None)
+                    add(v, u, (point - lo).finite if lo.is_finite else None)
+            demand = sum(r for r in excess if r > 0)
+            for v, r in enumerate(excess):
+                if r > 0:
+                    add(v, "t", r)
+                elif r < 0:
+                    add("s", v, -r)
+            cut, _ = nx.minimum_cut(reference, "s", "t")
+            certificate = most_violating_set(problem)
+            assert certificate.deficiency == demand - cut
+            assert hoffman_deficiency(problem, certificate.nodes) == certificate.deficiency
+            positive += certificate.deficiency > 0
+    assert 0 < positive < 3 * len(SIZES)
+
+
+def test_upper_minimizer_count_matches_network_simplex():
+    rng = random.Random(606)
+    counts = []
+    for m in SIZES:
+        for focus_share, inf_share in ((0.5, 0.0), (1.0, 0.1), (0.5, 0.3)):
+            n = rng.randint(m // 8, m // 3)
+            problem = random_problem(rng, n, m, focus_share, inf_share)
+            # the cap of a reduction round leaves saturated level edges to count
+            beta = compute_beta(problem)
+            problem = problem.with_bounds(upper=beta.clamped_upper)
+            for level in (beta.saturated_level_set, problem.focus - set(beta.removed_tight_edges)):
+                _, _, count = solve_upper_minimizer(problem, level)
+                cost, _ = nx.network_simplex(shifted_network(problem, level))
+                assert count == cost
+                counts.append(count)
+    assert min(counts) == 0 < max(counts)
 
 
 # -- (c) invariance under edge permutation --------------------------------------

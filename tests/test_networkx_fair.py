@@ -12,7 +12,9 @@ the cheapest fair flow the oracle's optimum.
 
 networkx is a test-only dependency: the module is skipped without it.
 Instances have 20 to 100 nodes, 50 to 400 edges, boxes 3 or 20 wide and
-costs in [-10, 10].
+costs in [-10, 10].  Both directions of "fair flows are the box flows"
+are checked: the oracle's flow lies in the box, and the cheapest box
+flow under random costs is fair.
 """
 
 import random
@@ -26,6 +28,7 @@ from fairflow import (
     cheapest_decmin_flow,
     check_flow,
     decmin_flow,
+    min_cost_mflow,
     narrow_box,
 )
 from fairflow.core import imbalances
@@ -118,3 +121,19 @@ def test_fair_flows_match_the_exponential_oracle(seed, n, m, width):
     cheapest = cheapest_decmin_flow(problem)
     assert fair_objective(problem, cheapest) == fair
     assert total_cost(problem, cheapest) == total_cost(problem, oracle)
+
+
+@pytest.mark.parametrize("seed,n,m,width", CASES)
+def test_box_flows_are_fair_under_random_costs(seed, n, m, width):
+    problem = fair_instance(random.Random(f"fair:{seed}:{width}"), n, m, width)
+    fair = fair_objective(problem, oracle_flow(problem))
+    box, _ = narrow_box(problem)
+    rng = random.Random(f"box costs:{seed}:{width}")
+    for _ in range(3):
+        boxed = FlowProblem(
+            problem.graph, box.f_star, box.g_star, problem.supply, problem.focus,
+            tuple(rng.randint(-10, 10) for _ in range(m)),
+        )
+        flow = min_cost_mflow(boxed)
+        assert check_flow(problem, flow) is None
+        assert fair_objective(problem, flow) == fair

@@ -3,16 +3,28 @@ import random
 import pytest
 
 from fairflow import (
+    NEG_INF,
+    POS_INF,
     Chain,
+    CutCertificate,
+    Digraph,
+    ExtInt,
+    FlowProblem,
+    InfeasibleError,
     apply_round_bounds,
     chain_dual_value,
     check_flow,
     compute_beta,
+    most_violating_set,
+    narrow_box,
     solve_upper_minimizer,
     verify_O1_O5,
 )
+from fairflow import upper_min
+from fairflow._bf import bellman_ford
+from fairflow.core import imbalances
+from fairflow.errors import InternalCertificateFailure
 from fairflow.oracle import oracle_min_saturated
-from fairflow.upper_min import _slackness_holds
 
 from conftest import build, random_problem
 
@@ -98,6 +110,16 @@ class TestParallelCopy:
             with pytest.raises(ValueError, match="level edge id .* out of range"):
                 call()
 
+    def test_rejects_start_of_wrong_length(self, capped):
+        for start in ((1, 1), (1, 1, 2, 0)):
+            with pytest.raises(ValueError, match="start must have one entry per edge"):
+                solve_upper_minimizer(capped, {0}, start)
+
+    @pytest.mark.parametrize("start", [(1, 1, 2.0), (1, True, 2), ("1", 1, 2), (1, None, 2)])
+    def test_rejects_non_int_start(self, capped, start):
+        with pytest.raises(TypeError, match=r"start\[\d\] must be an int"):
+            solve_upper_minimizer(capped, {0}, start)
+
     @pytest.mark.parametrize("level", [{True}, {1.0}, [0, 0.0], {"1"}])
     def test_rejects_non_int_level_ids(self, capped, level):
         # True used to be taken as edge 1
@@ -180,32 +202,131 @@ class TestSolve:
         assert len(chain) == 0
 
 
+def large_problem(rng, n, m, width, feasible):
+    """A random instance with self-loops and parallel edges, boxes up to
+    width wide and, on a tenth of the edges each, a +inf upper or a -inf
+    lower bound.  Supplies are the imbalances of a point of the box.
+    When feasible is False, node 0 must also send more than its finite
+    edges can carry."""
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    lower = [rng.randint(-3, 3) for _ in range(m)]
+    upper = [lo + rng.randint(0, width) for lo in lower]
+    point = [rng.randint(lower[e], upper[e]) for e in range(m)]
+    supply = imbalances(Digraph(n, edges), point)
+    if not feasible:
+        shift = 1 + sum(abs(b) for b in lower + upper)
+        supply[0] -= shift
+        supply[-1] += shift
+    finite = [not feasible and 0 in edge for edge in edges]
+    lo = [ExtInt(b) if finite[e] or rng.random() >= 0.1 else NEG_INF for e, b in enumerate(lower)]
+    hi = [ExtInt(b) if finite[e] or rng.random() >= 0.1 else POS_INF for e, b in enumerate(upper)]
+    return FlowProblem(Digraph(n, edges), tuple(lo), tuple(hi), tuple(supply))
+
+
+class TestStart:
+    """Beyond the oracle's cap: every start gives the same chain, count and
+    infeasibility certificate, and the flow saturates exactly count edges."""
+
+    @staticmethod
+    def countable(problem):
+        lower, upper = problem.lower, problem.upper
+        return [
+            e for e in range(problem.edge_count)
+            if lower[e].is_finite and upper[e].is_finite and lower[e] < upper[e]
+        ]
+
+    @staticmethod
+    def starts(rng, m):
+        yield None
+        yield [0] * m
+        yield [rng.randint(-10, 10) for _ in range(m)]
+        # far outside every finite bound: each entry is clamped
+        yield [rng.choice((-(10**9), 10**9)) for _ in range(m)]
+
+    @staticmethod
+    def answer(problem, level, start):
+        """(chain, count) after checking the flow, or the certificate."""
+        try:
+            flow, chain, count = solve_upper_minimizer(problem, level, start)
+        except InfeasibleError as err:
+            assert err.certificate == most_violating_set(problem)
+            return err.certificate
+        assert check_flow(problem, flow) is None
+        assert count == sum(1 for e in level if flow[e] == problem.upper[e])
+        return chain, count
+
+    @pytest.mark.parametrize("m", [50, 100, 200, 400])
+    def test_every_start_gives_the_same_answer(self, m):
+        rng = random.Random(f"start:{m}")
+        answers = []
+        for width, feasible in ((6, True), (100, True), (6, False)):
+            problem = large_problem(rng, rng.randint(m // 8, m // 3), m, width, feasible)
+            level = {e for e in self.countable(problem) if rng.random() < 0.5}
+            cases = [(problem, level, None)]
+            if feasible:
+                # the states of the first round and of the round with the
+                # deepest chain; narrow_box solved them from its own start
+                _, rounds = narrow_box(problem.with_bounds(focus=self.countable(problem)))
+                lower = [problem.lower] + [r.f_prime for r in rounds]
+                chained = [i for i, r in enumerate(rounds) if r.chain is not None]
+                for i in {chained[0], max(chained, key=lambda i: len(rounds[i].chain))}:
+                    state = problem.with_bounds(lower[i], rounds[i].g_capped)
+                    cases.append((state, rounds[i].level_set, rounds[i].chain))
+            for state, level, chain in cases:
+                seen = {self.answer(state, level, start) for start in self.starts(rng, m)}
+                assert len(seen) == 1
+                answers += seen
+                if chain is not None:
+                    assert answers[-1] == (chain, chain_dual_value(state, level, chain))
+        assert any(isinstance(a, tuple) and a[0] for a in answers)
+        assert any(isinstance(a, CutCertificate) for a in answers)
+
+
 class TestSlackness:
-    def test_interior_edge_needs_equal_potentials(self):
-        # value 1 inside [0, 2] at cost 0: only dy == 0 is slack-compatible
-        problem = build(2, [(0, 1)], [0], [2], [-1, 1], cost=[0])
-        assert _slackness_holds(problem, (1,), (0, 0))
-        assert not _slackness_holds(problem, (1,), (0, 1))
-        assert not _slackness_holds(problem, (1,), (1, 0))
+    """The check on the compressed potentials rejects shifted distances."""
 
-    def test_perturbed_potentials_fail_random(self):
-        # optimal flows with their residual potentials pass; moving the
-        # head of an edge strictly inside its bounds by one must fail
-        from fairflow import build_costed_residual, min_cost_mflow, residual_potentials
+    @staticmethod
+    def shift(monkeypatch, node, step):
+        """Make the residual distances of solve_upper_minimizer move node by step."""
 
+        def shifted(*args):
+            dist, cycle = bellman_ford(*args)
+            dist[node] += step
+            return dist, cycle
+
+        monkeypatch.setattr(upper_min, "bellman_ford", shifted)
+
+    def test_interior_edge_needs_equal_potentials(self, monkeypatch):
+        # value 1 inside [0, 2] at cost 0: both residual arcs need dy == 0
+        problem = build(2, [(0, 1)], [0], [2], [-1, 1])
+        assert solve_upper_minimizer(problem, set())[0] == (1,)
+        for step in (-1, 1):
+            self.shift(monkeypatch, 1, step)
+            with pytest.raises(InternalCertificateFailure, match="complementary slackness"):
+                solve_upper_minimizer(problem, set())
+            monkeypatch.undo()
+
+    def test_perturbed_potentials_fail_random(self, monkeypatch):
+        # moving one end of an edge strictly inside its bounds must fail
         rng = random.Random(67)
         perturbed = 0
-        for _ in range(60):
-            problem = random_problem(rng, feasible=True, costs=True)
-            flow = min_cost_mflow(problem)
-            y = residual_potentials(build_costed_residual(problem, flow))
-            assert _slackness_holds(problem, flow, y)
-            for e, (u, v) in enumerate(problem.graph.edges):
-                if u != v and problem.lower[e] < flow[e] < problem.upper[e]:
-                    bad = list(y)
-                    bad[v] += rng.choice([-1, 1])
-                    assert not _slackness_holds(problem, flow, bad)
-                    perturbed += 1
+        for _ in range(150):
+            problem = random_problem(rng, feasible=True)
+            level = {
+                e for e in range(problem.edge_count)
+                if problem.lower[e] < problem.upper[e] and rng.random() < 0.5
+            }
+            flow, _, _ = solve_upper_minimizer(problem, level)
+            inner = [
+                v for e, (u, v) in enumerate(problem.graph.edges)
+                if e not in level and u != v and problem.lower[e] < flow[e] < problem.upper[e]
+            ]
+            if inner:
+                self.shift(monkeypatch, rng.choice(inner), rng.choice((-1, 1)))
+                with pytest.raises(InternalCertificateFailure, match="complementary slackness"):
+                    solve_upper_minimizer(problem, level)
+                monkeypatch.undo()
+                perturbed += 1
         assert perturbed > 20
 
 
