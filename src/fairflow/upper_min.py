@@ -43,9 +43,9 @@ from typing import Iterable, Sequence
 
 from ._bf import bellman_ford
 from .core import FlowProblem, FlowValues, _edge_ids
-from .errors import InfeasibleError, InternalCertificateFailure
+from .errors import InternalCertificateFailure
 from .extint import ExtInt
-from .maxflow import CutCertificate, _start, _super_network, hoffman_deficiency
+from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,9 @@ def solve_upper_minimizer(
             break
         leaving = [cost[a] + pi[tail[a]] - pi[head[a]]
                    for a in arcs if res[a] and reached[tail[a]] >= 0 > reached[head[a]]]
-        if not leaving:  # the unreached nodes are the union of the maximizers
-            unreached = frozenset(v for v in range(n) if reached[v] < 0)
-            raise InfeasibleError(certificate=CutCertificate(unreached, demand - routed))
+        if not leaving:  # no feasible flow: raise require_feasible's certificate
+            require_feasible(problem)
+            raise InternalCertificateFailure("the phases stalled on a feasible problem")
         delta = min(leaving)
         if delta <= 0:
             raise InternalCertificateFailure(f"a phase left reduced cost {delta} uncrossed")
