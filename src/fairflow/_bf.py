@@ -33,7 +33,7 @@ The worst case stays O(nm) per search.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InternalCertificateFailure
 

@@ -31,8 +31,8 @@ its arc costs play no part in the fairness order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._bf import bellman_ford
 from .core import (

@@ -2,10 +2,14 @@
 
 One problem file in, one JSON result document out (CSV for ``report``).
 Exit codes: 0 ok, 1 infeasible or no fair flow exists, 2 input error,
-3 internal error (a bug, never a property of the input).  stdout
+3 internal error (a bug, never a property of the input).  There is one
+output path: ``_run`` returns the exit code and a payload, ``main``
+turns every error into a payload too, and prints exactly once.  stdout
 carries only the result.  stderr gets an ``error: ...`` line on exit 2
 (after argparse's usage line when the command line itself is malformed)
 and the traceback on exit 3, and nothing otherwise: there is no logging.
+``--trace`` exists only on ``beta``, ``narrow-box``, ``decmin`` and
+``cheapest-decmin``, the commands that have a trace to add.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 from .certificates import build_level_cost, is_decmin
 from .core import FlowProblem, check_flow, focus_profile
@@ -49,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fair (decreasingly minimal) integral modular flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tracing = argparse.ArgumentParser(add_help=False)
+    tracing.add_argument("--trace", action="store_true", help="include iteration/round traces")
 
     def add(name: str, leading: tuple | None = None, **kwargs) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, **kwargs)
@@ -56,17 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(leading[0], **leading[1])
         cmd.add_argument("input", nargs="?", help="problem file (JSON)")
         cmd.add_argument("--input", dest="input_flag", help="problem file (JSON)")
-        cmd.add_argument(
-            "--trace", action="store_true", help="include iteration/round traces"
-        )
         return cmd
 
     add("feasible", help="find a feasible flow or a violating node set")
     add("violating-set", help="most violating node set (feasible or not)")
-    add("beta", help="smallest feasible cap for the focus upper bounds")
-    add("narrow-box", help="tightened bounds describing all fair flows")
-    add("decmin", help="a fair flow")
-    add("cheapest-decmin", help="cheapest fair flow under the edge costs")
+    add("beta", parents=[tracing], help="smallest feasible cap for the focus upper bounds")
+    add("narrow-box", parents=[tracing], help="tightened bounds describing all fair flows")
+    add("decmin", parents=[tracing], help="a fair flow")
+    add("cheapest-decmin", parents=[tracing], help="cheapest fair flow under the edge costs")
     add("incmax", help="an increasingly maximal flow")
     add("exists", help="does a fair flow exist under infinite bounds")
     verify = add("verify", help="check a flow for fairness, with certificate")
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str, what: str) -> Any:
+def _load_json(path: str, what: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -125,7 +127,7 @@ def _flow_payload(problem: FlowProblem, values) -> dict:
 def _rounds_payload(rounds) -> list[dict]:
     out = []
     for i, rnd in enumerate(rounds):
-        entry: dict[str, Any] = {
+        entry: dict[str, object] = {
             "round": i,
             "beta": rnd.beta,
             "level_set": sorted(rnd.level_set),
@@ -175,7 +177,8 @@ def _inf_arc_payload(arc) -> dict:
     }
 
 
-def _run(args: argparse.Namespace) -> tuple[int, str]:
+def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
+    """Exit code and payload: a JSON-ready dict, or the CSV text for ``report``."""
     path = args.input_flag or args.input
     if path is None:
         raise ProblemFormatError("input", "no problem file given")
@@ -185,22 +188,20 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
     if command == "feasible":
         outcome = find_feasible_mflow(problem)
         if isinstance(outcome, CutCertificate):
-            payload = {
+            return 1, {
                 "status": "infeasible",
                 "violating_set": sorted(outcome.nodes),
                 "deficiency": outcome.deficiency,
             }
-            return 1, json.dumps(payload, indent=2)
-        return 0, json.dumps(_flow_payload(problem, outcome), indent=2)
+        return 0, _flow_payload(problem, outcome)
 
     if command == "violating-set":
         certificate = most_violating_set(problem)
-        payload = {
+        return 0, {
             "status": "ok",
             "set": sorted(certificate.nodes),
             "deficiency": certificate.deficiency,
         }
-        return 0, json.dumps(payload, indent=2)
 
     if command == "beta":
         for e in sorted(problem.focus):
@@ -218,48 +219,20 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         }
         if args.trace and result.nd_trace is not None:
             payload["nd_trace"] = _trace_payload(result.nd_trace)
-        return 0, json.dumps(payload, indent=2)
-
-    if command == "narrow-box":
-        box, rounds = narrow_box(problem)
-        payload = {
-            "status": "ok",
-            "f_star": [bound_to_json(b) for b in box.f_star],
-            "g_star": [bound_to_json(b) for b in box.g_star],
-        }
-        if args.trace:
-            payload["rounds"] = _rounds_payload(rounds)
-        return 0, json.dumps(payload, indent=2)
-
-    if command in ("decmin", "cheapest-decmin"):
-        box, rounds = narrow_box(problem)
-        boxed = problem.with_bounds(box.f_star, box.g_star)
-        if command == "decmin":
-            values = require_feasible(boxed)
-            payload = _flow_payload(problem, values)
-        else:
-            values = min_cost_mflow(boxed)
-            payload = _flow_payload(problem, values)
-            cost = problem.cost or (0,) * problem.edge_count
-            payload["cost"] = sum(c * z for c, z in zip(cost, values))
-        if args.trace:
-            payload["rounds"] = _rounds_payload(rounds)
-        return 0, json.dumps(payload, indent=2)
+        return 0, payload
 
     if command == "incmax":
-        values = incmax_flow(problem)
-        return 0, json.dumps(_flow_payload(problem, values), indent=2)
+        return 0, _flow_payload(problem, incmax_flow(problem))
 
     if command == "exists":
         result = exists_decmin(problem)
         if result.exists:
-            return 0, json.dumps({"status": "ok", "exists": True}, indent=2)
-        payload = {
+            return 0, {"status": "ok", "exists": True}
+        return 1, {
             "status": "no-decmin",
             "exists": False,
             "witness_circuit": [_inf_arc_payload(a) for a in result.witness],
         }
-        return 1, json.dumps(payload, indent=2)
 
     if command == "verify":
         values = parse_flow(_load_json(args.flow, "flow"), problem.edge_count)
@@ -267,42 +240,34 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
         if violation is not None:
             raise ProblemFormatError("flow", f"not feasible: {violation.message}")
         verdict = is_decmin(problem, values)
-        if verdict.decmin:
-            _, cost = build_level_cost(problem, values)
-            payload = {
-                "status": "ok",
-                "decmin": True,
-                "potential": [list(vec) for vec in verdict.potential.values],
-                "levels": list(cost.levels),
-            }
-        else:
-            payload = {
+        if not verdict.decmin:
+            return 0, {
                 "status": "ok",
                 "decmin": False,
                 "improving_circuit": [_aux_arc_payload(a) for a in verdict.circuit],
             }
-        return 0, json.dumps(payload, indent=2)
+        _, cost = build_level_cost(problem, values)
+        return 0, {
+            "status": "ok",
+            "decmin": True,
+            "potential": [list(vec) for vec in verdict.potential.values],
+            "levels": list(cost.levels),
+        }
 
     if command == "oracle":
         limits = _parse_limits(args.limits)
         if args.oracle_op == "enumerate":
             flows = enumerate_flows(problem, limits)
-            payload = {
-                "status": "ok",
-                "count": len(flows),
-                "flows": [list(f) for f in flows],
-            }
+            payload = {"status": "ok", "count": len(flows)}
         else:
             profile, flows = oracle_decmin(problem, limits)
-            payload = {
-                "status": "ok",
-                "F_profile_sorted_desc": list(profile),
-                "flows": [list(f) for f in flows],
-            }
-        return 0, json.dumps(payload, indent=2)
+            payload = {"status": "ok", "F_profile_sorted_desc": list(profile)}
+        payload["flows"] = [list(f) for f in flows]
+        return 0, payload
 
+    # narrow-box, decmin, cheapest-decmin and report all start from the box
+    box, rounds = narrow_box(problem)
     if command == "report":
-        _, rounds = narrow_box(problem)
         lines = ["round,beta,L_size,L_prime_size,F_remaining,chain_depth"]
         for i, rnd in enumerate(rounds):
             depth = len(rnd.chain) if rnd.chain is not None else 0
@@ -312,41 +277,52 @@ def _run(args: argparse.Namespace) -> tuple[int, str]:
                 f"{len(rnd.focus_next)},{depth}"
             )
         return 0, "\n".join(lines)
-
-    raise ProblemFormatError("command", f"unknown command {command!r}")
+    if command == "narrow-box":
+        payload = {
+            "status": "ok",
+            "f_star": [bound_to_json(b) for b in box.f_star],
+            "g_star": [bound_to_json(b) for b in box.g_star],
+        }
+    else:
+        boxed = problem.with_bounds(box.f_star, box.g_star)
+        if command == "decmin":
+            payload = _flow_payload(problem, require_feasible(boxed))
+        else:
+            values = min_cost_mflow(boxed)
+            payload = _flow_payload(problem, values)
+            cost = problem.cost or (0,) * problem.edge_count
+            payload["cost"] = sum(c * z for c, z in zip(cost, values))
+    if args.trace:
+        payload["rounds"] = _rounds_payload(rounds)
+    return 0, payload
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, output = _run(args)
+        code, payload = _run(args)
     except InfeasibleError as exc:
-        payload = {"status": "infeasible", "message": str(exc)}
+        code, payload = 1, {"status": "infeasible", "message": str(exc)}
         if exc.certificate is not None:
             payload["violating_set"] = sorted(exc.certificate.nodes)
             payload["deficiency"] = exc.certificate.deficiency
-        print(json.dumps(payload, indent=2))
-        return 1
     except NoDecMinError as exc:
-        payload = {"status": "no-decmin", "message": str(exc)}
+        code, payload = 1, {"status": "no-decmin", "message": str(exc)}
         if exc.witness is not None:
             payload["witness_circuit"] = [_inf_arc_payload(a) for a in exc.witness]
-        print(json.dumps(payload, indent=2))
-        return 1
     except (
         ProblemFormatError, LimitExceededError, InfiniteBoundsError, UnboundedCostError
     ) as exc:
         # the input is malformed, or the instance is outside what the command accepts
-        print(json.dumps({"status": "error", "message": str(exc)}, indent=2))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, payload = 2, {"status": "error", "message": str(exc)}
     except Exception as exc:
         import traceback  # here, not at the top: it adds ~5 ms to every start
 
         traceback.print_exc()
-        print(json.dumps({"status": "internal-error", "message": str(exc)}, indent=2))
-        return 3
-    print(output)
+        code, payload = 3, {"status": "internal-error", "message": str(exc)}
+    print(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
+    if code == 2:
+        print(f"error: {payload['message']}", file=sys.stderr)
     return code
 
 

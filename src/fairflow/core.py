@@ -15,8 +15,8 @@ results are deterministic even when optima are not unique.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
 
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 

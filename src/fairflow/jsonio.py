@@ -15,8 +15,6 @@ losslessly.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .core import Digraph, FlowProblem
 from .errors import FairFlowError
 from .extint import ExtInt, NEG_INF, POS_INF
@@ -30,13 +28,13 @@ class ProblemFormatError(FairFlowError):
         self.field = field
 
 
-def _require_int(value: Any, field: str) -> int:
+def _require_int(value: object, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFormatError(field, f"expected an integer, got {value!r}")
     return value
 
 
-def _parse_bound(value: Any, field: str, infinite: str) -> ExtInt:
+def _parse_bound(value: object, field: str, infinite: str) -> ExtInt:
     if value == infinite:
         return NEG_INF if infinite == "-inf" else POS_INF
     if isinstance(value, str):
@@ -44,7 +42,7 @@ def _parse_bound(value: Any, field: str, infinite: str) -> ExtInt:
     return ExtInt(_require_int(value, field))
 
 
-def parse_problem(document: Any) -> FlowProblem:
+def parse_problem(document: object) -> FlowProblem:
     """Build a FlowProblem from a decoded JSON document."""
     if not isinstance(document, dict):
         raise ProblemFormatError("$", "problem document must be a JSON object")
@@ -112,7 +110,7 @@ def bound_to_json(bound: ExtInt) -> int | str:
 def problem_to_json(problem: FlowProblem) -> dict:
     edges = []
     for e, (tail, head) in enumerate(problem.graph.edges):
-        spec: dict[str, Any] = {
+        spec: dict[str, object] = {
             "tail": tail,
             "head": head,
             "lower": bound_to_json(problem.lower[e]),
@@ -129,7 +127,7 @@ def problem_to_json(problem: FlowProblem) -> dict:
     }
 
 
-def parse_flow(document: Any, edge_count: int) -> tuple[int, ...]:
+def parse_flow(document: object, edge_count: int) -> tuple[int, ...]:
     """Flow values from either {"values": [...]} or a bare list."""
     values = document.get("values") if isinstance(document, dict) else document
     if not isinstance(values, list) or len(values) != edge_count:

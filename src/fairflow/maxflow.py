@@ -49,8 +49,8 @@ otherwise uses B = 1 + (sum of the finite capacities).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints
 from .errors import InfeasibleError

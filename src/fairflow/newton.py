@@ -19,8 +19,8 @@ decrease.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .core import FlowProblem, check_flow
 from .errors import AssumptionViolatedError

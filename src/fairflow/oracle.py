@@ -9,9 +9,9 @@ instead of slow.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Iterable
 
 from .core import FlowProblem, FlowValues, focus_profile
 from .errors import InfiniteBoundsError, LimitExceededError
@@ -90,7 +90,7 @@ def enumerate_flows(
     return flows
 
 
-def _smallest(flows: Iterable[FlowValues], key: Callable[[FlowValues], Any]):
+def _smallest(flows: Iterable[FlowValues], key: Callable[[FlowValues], object]):
     """The smallest key and every flow attaining it, in order; (None, []) if none."""
     best = None
     attaining: list[FlowValues] = []

@@ -38,8 +38,8 @@ rewritten bounds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from ._bf import bellman_ford
 from .core import FlowProblem, FlowValues, _edge_ids

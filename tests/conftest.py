@@ -29,6 +29,11 @@ def build(nodes, edges, lower, upper, supply, focus=(), cost=None) -> FlowProble
     )
 
 
+def subcommands(parser) -> list[str]:
+    """The subcommand names an argparse parser admits."""
+    return list(parser._subparsers._group_actions[0].choices)
+
+
 @pytest.fixture
 def diamond() -> FlowProblem:
     """Nodes a,b,s,t = 0..3; s->a, s->b, a->t, b->t; box [0,2]; 2 units s to t."""

@@ -7,7 +7,7 @@ from fairflow.cli import main
 from fairflow.errors import InternalCertificateFailure
 from fairflow.jsonio import problem_to_json
 
-from conftest import build
+from conftest import build, subcommands
 
 
 @pytest.fixture
@@ -298,3 +298,126 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["status"] == "internal-error"
         assert type(error).__name__ in err
+
+
+ROUNDS = [
+    {
+        "round": 0, "beta": 2, "level_set": [0], "narrowed": [0], "focus_next": [1],
+        "removed_tight": [], "chain": [[1, 2]],
+        "nd_trace": {"iterations": [{"mu": 0, "argmax": [1, 2], "p": 1, "b": 1}], "mu_min": 1},
+    },
+    {
+        "round": 1, "beta": None, "level_set": [], "narrowed": [], "focus_next": [],
+        "removed_tight": [1], "chain": None,
+    },
+]
+FAIR = {"status": "ok", "values": [2, 1, 3], "F_profile_sorted_desc": [2, 1]}
+CIRCUIT = [
+    {"tail": 0, "head": 1, "origin": 0, "reversed": False},
+    {"tail": 1, "head": 2, "origin": 1, "reversed": False},
+    {"tail": 2, "head": 0, "origin": 2, "reversed": False},
+]
+
+# (argv, exit code, stdout): a dict is printed as `json.dumps(..., indent=2)`
+# plus a newline, a str verbatim; file names resolve in the `golden` fixture
+GOLDEN = [
+    (["feasible", "asym"], 0,
+     {"status": "ok", "values": [3, 0, 3], "F_profile_sorted_desc": [3, 0]}),
+    (["violating-set", "asym"], 0, {"status": "ok", "set": [0, 1, 2], "deficiency": 0}),
+    (["beta", "asym"], 0,
+     {"status": "ok", "beta": 2, "level_set": [0], "removed_tight_edges": [],
+      "clamped_upper": [2, 1, 4]}),
+    (["narrow-box", "asym"], 0, {"status": "ok", "f_star": [1, 1, 0], "g_star": [2, 1, 4]}),
+    (["decmin", "asym"], 0, FAIR),
+    (["cheapest-decmin", "asym"], 0, {**FAIR, "cost": 0}),
+    (["incmax", "asym"], 0, FAIR),
+    (["exists", "asym"], 0, {"status": "ok", "exists": True}),
+    (["report", "asym"], 0,
+     "round,beta,L_size,L_prime_size,F_remaining,chain_depth\n0,2,1,1,1,1\n1,,0,0,0,0\n"),
+    (["cheapest-decmin", "priced"], 0, {**FAIR, "cost": 2}),
+    (["verify", "asym", "--flow", "fair"], 0,
+     {"status": "ok", "decmin": True, "potential": [[0, -1, 0], [0, 0, 0], [0, 0, 0]],
+      "levels": [2, 1, 0]}),
+    (["verify", "asym", "--flow", "unfair"], 0,
+     {"status": "ok", "decmin": False, "improving_circuit": [
+         {"tail": 0, "head": 1, "forward": True, "origin": 1},
+         {"tail": 1, "head": 0, "forward": False, "origin": 0},
+     ]}),
+    (["oracle", "enumerate", "asym"], 0,
+     {"status": "ok", "count": 2, "flows": [[2, 1, 3], [3, 0, 3]]}),
+    (["oracle", "decmin", "asym", "--limits", "max_box_width=10"], 0,
+     {"status": "ok", "F_profile_sorted_desc": [2, 1], "flows": [[2, 1, 3]]}),
+    (["beta", "asym", "--trace"], 0,
+     {"status": "ok", "beta": 2, "level_set": [0], "removed_tight_edges": [],
+      "clamped_upper": [2, 1, 4], "nd_trace": ROUNDS[0]["nd_trace"]}),
+    (["narrow-box", "asym", "--trace"], 0,
+     {"status": "ok", "f_star": [1, 1, 0], "g_star": [2, 1, 4], "rounds": ROUNDS}),
+    (["decmin", "asym", "--trace"], 0, {**FAIR, "rounds": ROUNDS}),
+    (["cheapest-decmin", "asym", "--trace"], 0, {**FAIR, "cost": 0, "rounds": ROUNDS}),
+    (["feasible", "infeasible"], 1,
+     {"status": "infeasible", "violating_set": [1], "deficiency": 1}),
+    (["decmin", "infeasible"], 1,
+     {"status": "infeasible", "message": "no feasible flow: set [1] has deficiency 1",
+      "violating_set": [1], "deficiency": 1}),
+    (["exists", "triangle"], 1,
+     {"status": "no-decmin", "exists": False, "witness_circuit": CIRCUIT}),
+    (["decmin", "triangle"], 1,
+     {"status": "no-decmin", "message": "no dec-min flow exists", "witness_circuit": CIRCUIT}),
+    (["decmin", "malformed"], 2,
+     {"status": "error", "message": "edges[0].head: node id 5 out of range"}),
+]
+TRACING = ["beta", "narrow-box", "decmin", "cheapest-decmin"]
+# the other commands, with the arguments each needs besides the problem file
+UNTRACED = [
+    ["feasible"], ["violating-set"], ["incmax"], ["exists"], ["report"],
+    ["verify", "--flow", "fair"], ["oracle", "enumerate"],
+]
+
+
+@pytest.fixture
+def golden(tmp_path, asym, asym_file, infeasible_file, triangle_file):
+    """Name -> path of every file the golden invocations read."""
+    import dataclasses
+
+    files = {"asym": asym_file, "infeasible": infeasible_file, "triangle": triangle_file}
+    documents = {
+        "priced": problem_to_json(dataclasses.replace(asym, cost=(1, 0, 0))),
+        "fair": {"values": [2, 1, 3]},
+        "unfair": {"values": [3, 0, 3]},
+        "malformed": {"nodes": 2, "supply": [0, 0], "edges": [
+            {"tail": 0, "head": 5, "lower": 0, "upper": 1, "inF": False}
+        ]},
+    }
+    for name, document in documents.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    return files
+
+
+class TestGolden:
+    """Exact stdout, stderr and exit code of every kept invocation."""
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+    )
+    def test_output_is_pinned(self, capsys, golden, argv, code, stdout):
+        argv = [golden.get(arg, arg) for arg in argv]
+        expected = stdout if isinstance(stdout, str) else json.dumps(stdout, indent=2) + "\n"
+        stderr = "error: edges[0].head: node id 5 out of range\n" if code == 2 else ""
+        assert run(capsys, *argv) == (code, expected, stderr)
+
+    def test_every_command_is_pinned(self):
+        commands = {argv[0] for argv, _, _ in GOLDEN}
+        assert commands == set(subcommands(cli.build_parser()))
+        assert {argv[0] for argv, _, _ in GOLDEN if "--trace" in argv} == set(TRACING)
+        assert commands == set(TRACING) | {argv[0] for argv in UNTRACED}
+
+    @pytest.mark.parametrize("argv", UNTRACED, ids=lambda argv: argv[0])
+    def test_trace_is_a_usage_error_where_nothing_is_traced(self, capsys, golden, argv):
+        argv = [golden.get(arg, arg) for arg in [*argv, "asym", "--trace"]]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --trace" in captured.err

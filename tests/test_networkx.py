@@ -24,6 +24,7 @@ from fairflow import (
     find_feasible_mflow,
     focus_profile,
     hoffman_deficiency,
+    incmax_flow,
     max_flow,
     most_violating_set,
     narrow_box,
@@ -335,7 +336,7 @@ def test_upper_minimizer_count_matches_network_simplex():
     assert min(counts) == 0 < max(counts)
 
 
-# -- (c) invariance under edge permutation --------------------------------------
+# -- (c) metamorphic invariances ----------------------------------------------
 
 
 def permuted(problem, order):
@@ -364,6 +365,75 @@ def test_box_and_profile_invariant_under_edge_permutation():
         assert focus_profile(problem, decmin_flow(problem)) == focus_profile(
             shuffled, decmin_flow(shuffled)
         )
+
+
+def relabelled(problem, label):
+    """The same problem with node v renamed label[v]."""
+    supply = [0] * problem.node_count
+    for v, s in enumerate(problem.supply):
+        supply[label[v]] = s
+    edges = tuple((label[u], label[v]) for u, v in problem.graph.edges)
+    return FlowProblem(
+        Digraph(problem.node_count, edges),
+        problem.lower,
+        problem.upper,
+        tuple(supply),
+        problem.focus,
+    )
+
+
+def with_fixed_edges(rng, problem, count):
+    """The problem plus count non-focus edges held at one value each, and
+    those values.
+
+    Each new edge has lower == upper, and the supplies absorb what it
+    carries, so the flows of the original edges stay exactly the same.
+    """
+    n = problem.node_count
+    extra = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(count))
+    held = [rng.randint(-5, 5) for _ in range(count)]
+    shift = imbalances(Digraph(n, extra), held)
+    return FlowProblem(
+        Digraph(n, problem.graph.edges + extra),
+        problem.lower + tuple(ExtInt(z) for z in held),
+        problem.upper + tuple(ExtInt(z) for z in held),
+        tuple(s + d for s, d in zip(problem.supply, shift)),
+        problem.focus,
+    ), held
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_box_and_profile_invariant_under_node_relabelling(m):
+    rng = random.Random(f"relabel:{m}")
+    problem = random_problem(rng, rng.randint(m // 5, m // 3), m, 0.6, 0.1)
+    label = list(range(problem.node_count))
+    rng.shuffle(label)
+    renamed = relabelled(problem, label)
+    assert narrow_box(renamed)[0] == narrow_box(problem)[0]
+    assert focus_profile(renamed, decmin_flow(renamed)) == focus_profile(
+        problem, decmin_flow(problem)
+    )
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_box_and_profile_invariant_under_fixed_non_focus_edges(m):
+    rng = random.Random(f"fixed:{m}")
+    problem = random_problem(rng, rng.randint(m // 5, m // 3), m, 0.6, 0.1)
+    extended, held = with_fixed_edges(rng, problem, m // 4)
+    box, _ = narrow_box(problem)
+    extended_box, _ = narrow_box(extended)
+    assert extended_box.f_star == box.f_star + tuple(ExtInt(z) for z in held)
+    assert extended_box.g_star == box.g_star + tuple(ExtInt(z) for z in held)
+    assert focus_profile(extended, decmin_flow(extended)) == focus_profile(
+        problem, decmin_flow(problem)
+    )
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_incmax_of_the_mirror_is_the_negated_decmin(m):
+    rng = random.Random(f"mirror:{m}")
+    problem = random_problem(rng, rng.randint(m // 5, m // 3), m, 0.6, 0.1)
+    assert incmax_flow(problem.negated()) == tuple(-z for z in decmin_flow(problem))
 
 
 # -- (d) the smallest feasible cap ----------------------------------------------

@@ -3,7 +3,9 @@
 networkx is a test-only dependency: the module is skipped without it.
 Min-cost instances have 50 to 400 edges, costs in [-10, 10] and boxes
 up to 1000 wide; the negative-cycle searches run on multigraphs with 20
-to 100 nodes and up to 400 arcs.
+to 100 nodes and up to 400 arcs.  A wide-box family of five-node gadgets
+makes first-found canceling run one search per unit of width; it is
+checked at widths up to 100.
 """
 
 import random
@@ -23,6 +25,7 @@ from fairflow import (
     min_cost_mflow,
     residual_potentials,
 )
+from fairflow import mincost
 from fairflow.core import imbalances
 
 nx = pytest.importorskip("networkx")
@@ -101,6 +104,67 @@ def test_min_cost_matches_network_simplex():
             flow = min_cost_mflow(problem)
             assert check_flow(problem, flow) is None
             assert total_cost(problem, flow) == networkx_min_cost(problem)
+
+
+def wide_box_family(rng, width, copies=3):
+    """Disjoint gadgets on which first-found canceling moves one unit per circuit.
+
+    Each gadget sends width units from s to t.  The start flow takes the
+    two-arc route s->c->t (cost p + q), which Dinic's first phase finds
+    before the three-arc route s->a->b->t (cost r) or any route through
+    the unit-wide bridge b->c (cost w).  Costs are drawn with
+    w < p and r < w + q, and q >= 1.  Then both circuits through the
+    bridge are negative: A = s->a->b->c->s (w - p), and
+    B = c->b->t->c (r - w - q).  Bellman-Ford meets A or B before the
+    direct circuit s->a->b->t->c->s (r - q - p), which would move every
+    unit at once.  A and B alternate, one unit each, so the searches
+    number 2 * copies * width + 1.
+    """
+    edges, upper, cost, supply = [], [], [], []
+    for k in range(copies):
+        s, a, b, t, c = range(5 * k, 5 * k + 5)
+        p, q = rng.randint(1, 9), rng.randint(1, 9)
+        w = rng.randint(0, p - 1)
+        r = rng.randint(0, w + q - 1)
+        edges += [(b, c), (c, t), (s, c), (b, t), (s, a), (a, b)]
+        upper += [1] + [width] * 5
+        cost += [w, q, p, r, 0, 0]
+        supply += [-width, 0, 0, width, 0]
+    return FlowProblem(
+        Digraph(5 * copies, tuple(edges)),
+        (ExtInt(0),) * len(edges),
+        tuple(ExtInt(b) for b in upper),
+        tuple(supply),
+        frozenset(),
+        tuple(cost),
+    )
+
+
+def negative_cycle_searches(problem):
+    """min_cost_mflow's flow and the number of negative-circuit searches it ran."""
+    calls = []
+    search = mincost.find_negative_dicircuit
+
+    def counted(residual):
+        calls.append(None)
+        return search(residual)
+
+    mincost.find_negative_dicircuit = counted
+    try:
+        return min_cost_mflow(problem), len(calls)
+    finally:
+        mincost.find_negative_dicircuit = search
+
+
+@pytest.mark.parametrize("width", (1, 10, 100))
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_box_family_matches_network_simplex(seed, width):
+    problem = wide_box_family(random.Random(f"wide:{seed}"), width)
+    flow, searches = negative_cycle_searches(problem)
+    assert check_flow(problem, flow) is None
+    assert total_cost(problem, flow) == networkx_min_cost(problem)
+    # first-found canceling reaches this bound; a better rule may only go below it
+    assert searches <= 2 * 3 * width + 1
 
 
 def test_optimal_potentials_match_networkx_distances():

@@ -1,6 +1,9 @@
 """Static checks over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,16 @@ def test_no_identity_comparison_with_infinities(path):
         and any(map(_is_infinity, [node.left, *node.comparators]))
     ]
     assert lines == [], f"{path.name} compares an infinity by identity at lines {lines}"
+
+
+def test_cli_import_does_not_load_typing():
+    """Annotations are never evaluated, so a CLI start need not pay for `typing`."""
+    src = Path(__file__).parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, fairflow.cli; print('typing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
