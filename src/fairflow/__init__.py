@@ -30,7 +30,6 @@ from .core import (
     check_flow,
     decmin_compare,
     focus_profile,
-    is_feasible,
 )
 from .decmin import (
     NarrowBox,

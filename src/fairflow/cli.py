@@ -1,15 +1,16 @@
 """Command-line driver.
 
-One problem file in, one JSON result document out (CSV for ``report``).
-Exit codes: 0 ok, 1 infeasible or no fair flow exists, 2 input error,
-3 internal error (a bug, never a property of the input).  There is one
-output path: ``_run`` returns the exit code and a payload, ``main``
-turns every error into a payload too, and prints exactly once.  stdout
-carries only the result.  stderr gets an ``error: ...`` line on exit 2
-(after argparse's usage line when the command line itself is malformed)
-and the traceback on exit 3, and nothing otherwise: there is no logging.
-``--trace`` exists only on ``beta``, ``narrow-box``, ``decmin`` and
-``cheapest-decmin``, the commands that have a trace to add.
+One positional problem file in, one JSON result document out (CSV for
+``report``).  Exit codes: 0 ok, 1 infeasible or no fair flow exists,
+with its proof, 2 input error, 3 internal error (a bug, never a property
+of the input).  There is one output path: ``_run`` returns the exit code
+and a payload, ``main`` turns every error into a payload too, and prints
+exactly once.  stdout carries only the result.  stderr gets an ``error:
+...`` line on exit 2 (after argparse's usage line when the command line
+is malformed or lacks the problem file) and the traceback on exit 3, and
+nothing otherwise: there is no logging.  ``--trace`` exists only on
+``beta``, ``narrow-box``, ``decmin`` and ``cheapest-decmin``, the
+commands that have a trace to add.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     tracing = argparse.ArgumentParser(add_help=False)
     tracing.add_argument("--trace", action="store_true", help="include iteration/round traces")
 
-    def add(name: str, leading: tuple | None = None, **kwargs) -> argparse.ArgumentParser:
+    # a parent's arguments come first, so oracle_op precedes the problem file
+    operation = argparse.ArgumentParser(add_help=False)
+    operation.add_argument("oracle_op", choices=["enumerate", "decmin"], help="oracle operation")
+
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, **kwargs)
-        if leading is not None:
-            cmd.add_argument(leading[0], **leading[1])
-        cmd.add_argument("input", nargs="?", help="problem file (JSON)")
-        cmd.add_argument("--input", dest="input_flag", help="problem file (JSON)")
+        cmd.add_argument("input", help="problem file (JSON)")
         return cmd
 
     add("feasible", help="find a feasible flow or a violating node set")
@@ -73,14 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("exists", help="does a fair flow exist under infinite bounds")
     verify = add("verify", help="check a flow for fairness, with certificate")
     verify.add_argument("--flow", required=True, help="flow file (JSON)")
-    oracle = add(
-        "oracle",
-        leading=(
-            "oracle_op",
-            {"choices": ["enumerate", "decmin"], "help": "oracle operation"},
-        ),
-        help="brute-force reference results",
-    )
+    oracle = add("oracle", parents=[operation], help="brute-force reference results")
     oracle.add_argument(
         "--limits",
         action="append",
@@ -179,10 +174,7 @@ def _inf_arc_payload(arc) -> dict:
 
 def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
     """Exit code and payload: a JSON-ready dict, or the CSV text for ``report``."""
-    path = args.input_flag or args.input
-    if path is None:
-        raise ProblemFormatError("input", "no problem file given")
-    problem = parse_problem(_load_json(path, "input"))
+    problem = parse_problem(_load_json(args.input, "input"))
     command = args.command
 
     if command == "feasible":
@@ -302,14 +294,12 @@ def main(argv=None) -> int:
     try:
         code, payload = _run(args)
     except InfeasibleError as exc:
-        code, payload = 1, {"status": "infeasible", "message": str(exc)}
-        if exc.certificate is not None:
-            payload["violating_set"] = sorted(exc.certificate.nodes)
-            payload["deficiency"] = exc.certificate.deficiency
+        cut = exc.certificate
+        code, payload = 1, {"status": "infeasible", "message": str(exc),
+                            "violating_set": sorted(cut.nodes), "deficiency": cut.deficiency}
     except NoDecMinError as exc:
-        code, payload = 1, {"status": "no-decmin", "message": str(exc)}
-        if exc.witness is not None:
-            payload["witness_circuit"] = [_inf_arc_payload(a) for a in exc.witness]
+        code, payload = 1, {"status": "no-decmin", "message": str(exc),
+                            "witness_circuit": [_inf_arc_payload(a) for a in exc.witness]}
     except (
         ProblemFormatError, LimitExceededError, InfiniteBoundsError, UnboundedCostError
     ) as exc:

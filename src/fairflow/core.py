@@ -260,10 +260,6 @@ def check_flow(problem: FlowProblem, values: Sequence[int]) -> FlowViolation | N
     return None
 
 
-def is_feasible(problem: FlowProblem, values: Sequence[int]) -> bool:
-    return check_flow(problem, values) is None
-
-
 # -- residual digraph ------------------------------------------------------
 
 

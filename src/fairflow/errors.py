@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the two exit-1 failures require their proof."""
+
+from functools import partial
 
 
 class FairFlowError(Exception):
@@ -10,20 +12,17 @@ class InfinityClashError(FairFlowError):
 
 
 class InfeasibleError(FairFlowError):
-    """No feasible flow exists.
-
-    Carries the violating node set (a Hoffman cut certificate) when one
-    was computed; ``certificate`` may be None for callers that detected
-    infeasibility indirectly.  Without a message, the certificate's set
-    and deficiency make it.
+    """No feasible flow exists; ``certificate`` (required) is a node set,
+    a maxflow.CutCertificate, whose positive Hoffman deficiency proves it.
     """
 
-    def __init__(self, message: str | None = None, certificate=None):
-        if message is None and certificate is not None:
-            nodes, deficiency = sorted(certificate.nodes), certificate.deficiency
-            message = f"no feasible flow: set {nodes} has deficiency {deficiency}"
-        super().__init__(message or "no feasible flow exists")
+    def __init__(self, certificate):
+        super().__init__(certificate)  # the proof as the one argument, so pickle can rebuild it
         self.certificate = certificate
+
+    def __str__(self) -> str:
+        nodes, deficiency = sorted(self.certificate.nodes), self.certificate.deficiency
+        return f"no feasible flow: set {nodes} has deficiency {deficiency}"
 
 
 class UnboundedCostError(FairFlowError):
@@ -35,11 +34,16 @@ class NegativeCycleError(FairFlowError):
 
 
 class NoDecMinError(FairFlowError):
-    """No fair (decreasingly minimal) flow exists; carries a witness di-circuit."""
+    """No fair flow exists; ``witness`` (required) is a circuit of
+    existence.InfArc along which any feasible flow improves forever.
+    """
 
-    def __init__(self, message: str = "no dec-min flow exists", witness=None):
+    def __init__(self, message: str = "no dec-min flow exists", *, witness):
         super().__init__(message)
         self.witness = witness
+
+    def __reduce__(self):  # pickle rebuilds from args alone, and the witness is keyword-only
+        return partial(type(self), witness=self.witness), self.args
 
 
 class AssumptionViolatedError(FairFlowError):

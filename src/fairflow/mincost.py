@@ -21,7 +21,7 @@ from .core import (
     ResidualArc,
     _edge_residual_arcs,
 )
-from .errors import NegativeCycleError, UnboundedCostError
+from .errors import InternalCertificateFailure, NegativeCycleError, UnboundedCostError
 from .extint import POS_INF
 from .maxflow import require_feasible
 
@@ -108,7 +108,9 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
             return tuple(values)
         delta = min(arc.capacity for arc in cycle)
         if delta == POS_INF:
-            raise UnboundedCostError(
+            # unreachable by the cost guard: an infinite forward arc (upper +inf) costs
+            # >= 0, an infinite backward one (lower -inf) -cost >= 0, so none is negative
+            raise InternalCertificateFailure(
                 "negative di-circuit with infinite residual capacity"
             )
         for arc in cycle:

@@ -1,9 +1,10 @@
 """Fairness certificates beyond the enumeration corpus.
 
-Instances have 60 to 200 edges.  A fair flow must come with a potential
+Instances have 50 to 400 edges.  A fair flow must come with a potential
 that passes the arc-by-arc check, and an unfair one with circuits, from
 both the scalarized search and the potential construction, that improve
-its profile when applied.
+its profile when applied.  The (O4) window, which pins a cap-level edge
+entering two or more chain members at beta, is checked the same way.
 """
 
 import random
@@ -19,6 +20,8 @@ from fairflow import (
     find_improving_dicircuit,
     focus_profile,
     is_decmin,
+    min_cost_mflow,
+    narrow_box,
     potential_is_feasible,
     require_feasible,
 )
@@ -71,3 +74,28 @@ def test_certificates_at_scale():
             assert circuit is not None and improves(problem, start, circuit)
             refuted += 1
     assert refuted >= len(SIZES)
+
+
+def test_edges_entering_two_chain_members_are_pinned_at_beta():
+    """(O4): no fair flow lowers a cap-level edge that enters two or more members."""
+    pinned = 0
+    for m in (50, 100, 200, 400):
+        problem = focused_problem(random.Random(f"O4:{m}"), m, 1.0, 20)
+        box, rounds = narrow_box(problem)
+        for rnd in rounds:
+            if rnd.chain is None:  # a terminal round, where every focus edge turned tight
+                continue
+            depth = rnd.chain.depth(problem.node_count)
+            for e in sorted(rnd.level_set):
+                u, v = problem.graph.edges[e]
+                if depth[v] - depth[u] < 2:
+                    continue
+                pinned += 1
+                assert rnd.f_prime[e] == rnd.g_prime[e] == rnd.beta
+                # the cheapest box flow with a unit price on e holds e as low as the box allows
+                price = tuple(int(d == e) for d in range(m))
+                boxed = FlowProblem(
+                    problem.graph, box.f_star, box.g_star, problem.supply, problem.focus, price
+                )
+                assert is_decmin(problem, min_cost_mflow(boxed)).decmin
+    assert pinned >= 1

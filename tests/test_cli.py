@@ -200,10 +200,6 @@ class TestErrors:
         assert "edges[0].head" in err
         assert json.loads(out)["status"] == "error"
 
-    def test_input_flag_alternative(self, capsys, asym_file):
-        code, out, _ = run(capsys, "decmin", "--input", asym_file)
-        assert code == 0
-
     def test_determinism(self, capsys, asym_file):
         _, first, _ = run(capsys, "decmin", asym_file, "--trace")
         _, second, _ = run(capsys, "decmin", asym_file, "--trace")
@@ -414,10 +410,25 @@ class TestGolden:
 
     @pytest.mark.parametrize("argv", UNTRACED, ids=lambda argv: argv[0])
     def test_trace_is_a_usage_error_where_nothing_is_traced(self, capsys, golden, argv):
-        argv = [golden.get(arg, arg) for arg in [*argv, "asym", "--trace"]]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exit_info.value.code == 2
-        assert captured.out == ""
-        assert "unrecognized arguments: --trace" in captured.err
+        err = usage_error(capsys, [golden.get(arg, arg) for arg in [*argv, "asym", "--trace"]])
+        assert "unrecognized arguments: --trace" in err
+
+    @pytest.mark.parametrize("argv", [[c] for c in TRACING] + UNTRACED, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "given, message",
+        [(["--input", "asym"], "unrecognized arguments: --input"), ([], "required: input")],
+        ids=["input-flag", "missing-file"],
+    )
+    def test_problem_file_is_one_required_positional(self, capsys, golden, argv, given, message):
+        err = usage_error(capsys, [golden.get(arg, arg) for arg in [*argv, *given]])
+        assert message in err
+
+
+def usage_error(capsys, argv):
+    """argparse's stderr for argv, which must exit 2 with nothing on stdout."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    return captured.err

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairflow import (
     NEG_INF,
@@ -22,6 +24,7 @@ from fairflow import (
     narrow_box,
     shift_along_witness,
 )
+from fairflow.core import imbalances
 from fairflow.oracle import (
     enumerate_flows,
     oracle_cheapest_decmin,
@@ -134,6 +137,45 @@ class TestDecminFlow:
             assert focus_profile(problem, flow) == profile
             # the independent certificate machinery agrees
             assert is_decmin(problem, flow).decmin
+
+
+@st.composite
+def desk_problems(draw):
+    """Feasible problems of at most 5 nodes, 8 edges and width 3, any focus
+    set, with some infinite bounds off the focus set.  Each edge is one list
+    item (ends, lower, width, offset of the point giving the supplies, in
+    focus, -inf lower, +inf upper), so shrinking can drop edges."""
+    n = draw(st.integers(2, 5))
+    node, small, flag = st.integers(0, n - 1), st.integers(0, 3), st.booleans()
+    records = draw(st.lists(
+        st.tuples(node, node, st.integers(-3, 3), small, small, flag, flag, flag),
+        min_size=1, max_size=8,
+    ))
+    graph = Digraph(n, tuple((u, v) for u, v, *_ in records))
+    point = [lo + min(offset, width) for _, _, lo, width, offset, *_ in records]
+    lower = [NEG_INF if inf and not f else ExtInt(lo) for *_, lo, _, _, f, inf, _ in records]
+    upper = [POS_INF if inf and not f else ExtInt(lo + w) for *_, lo, w, _, f, _, inf in records]
+    focus = frozenset(e for e, record in enumerate(records) if record[5])
+    return FlowProblem(graph, tuple(lower), tuple(upper), tuple(imbalances(graph, point)), focus)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(desk_problems())
+def test_reduction_loop_matches_the_oracle(problem):
+    """The oracle needs finite bounds, so an edge with an infinite bound is
+    held within one unit of the solver's value.  That window keeps a fair
+    flow, so its fair flows are exactly the box flows inside it."""
+    fair = decmin_flow(problem)
+    infinite = [not (lo.is_finite and hi.is_finite) for lo, hi in zip(problem.lower, problem.upper)]
+    window = problem.with_bounds(
+        [max(lo, z - 1) if inf else lo for lo, z, inf in zip(problem.lower, fair, infinite)],
+        [min(hi, z + 1) if inf else hi for hi, z, inf in zip(problem.upper, fair, infinite)],
+    )
+    profile, attaining = oracle_decmin(window)
+    assert focus_profile(problem, fair) == profile
+    box, _ = narrow_box(problem)
+    in_window = window.with_bounds(map(max, box.f_star, window.lower), map(min, box.g_star, window.upper))
+    assert set(enumerate_flows(in_window)) == set(attaining)
 
 
 class TestBoxProperties:

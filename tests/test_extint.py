@@ -51,6 +51,13 @@ def test_rejects_non_ints():
         as_extint("3")
 
 
+@pytest.mark.parametrize("other", [1.0, True], ids=["float", "bool"])
+def test_equality_with_a_float_or_bool_is_not_implemented(other):
+    # Python then falls back to identity, so the comparison is False, not a TypeError
+    assert ExtInt(1).__eq__(other) is NotImplemented
+    assert (ExtInt(1) == other) is False
+
+
 @given(extints, extints)
 def test_comparison_totality(a, b):
     assert (a < b) + (a == b) + (a > b) == 1

@@ -5,6 +5,7 @@ import pytest
 from fairflow import (
     CostedResidual,
     InfeasibleError,
+    InternalCertificateFailure,
     NegativeCycleError,
     ResidualArc,
     UnboundedCostError,
@@ -142,6 +143,17 @@ class TestMinCost:
             2, [(0, 1), (1, 0)], ["-inf", "-inf"], [0, 0], [0, 0], cost=[0, 1]
         )
         with pytest.raises(UnboundedCostError, match="edge 1 has positive cost and lower"):
+            min_cost_mflow(problem)
+
+    def test_all_infinite_negative_circuit_is_an_internal_failure(self, monkeypatch):
+        # the cost guard leaves no such circuit, so meeting one is a bug, not bad input
+        import fairflow.mincost as mincost
+
+        problem = build(2, [(0, 1), (1, 0)], [0, 0], ["+inf", "+inf"], [0, 0], cost=[0, 0])
+        monkeypatch.setattr(
+            mincost, "find_negative_dicircuit", lambda residual: residual.arcs
+        )
+        with pytest.raises(InternalCertificateFailure, match="infinite residual capacity"):
             min_cost_mflow(problem)
 
     def test_optimal_residual_is_conservative(self):

@@ -72,6 +72,20 @@ class TestDriver:
         with pytest.raises(AssumptionViolatedError):
             nd_min_good_mu(dict_oracle((1,), p, b), m_bound=1)
 
+    def test_iteration_bound_stops_an_oracle_that_never_settles(self):
+        calls = []
+
+        def unsettled(mu):
+            # p - mu * b = 1 at every mu; the cap on calls keeps a broken bound from hanging
+            calls.append(mu)
+            if len(calls) > 50:
+                raise RuntimeError("the iteration bound did not stop the driver")
+            return frozenset({1}), mu + 1, 1
+
+        with pytest.raises(AssumptionViolatedError, match="iteration bound 3 exceeded"):
+            nd_min_good_mu(unsettled, m_bound=3)
+        assert calls == [0, 1, 2, 3]
+
     def test_matches_exhaustive_ceil_max_random(self):
         rng = random.Random(43)
         for _ in range(60):

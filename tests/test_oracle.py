@@ -66,6 +66,9 @@ class TestEnumerate:
         with pytest.raises(LimitExceededError):
             enumerate_flows(many)
         assert enumerate_flows(wide, OracleLimits(max_box_width=9)) != []
+        pair = build(2, [(0, 1)] * 2, [0] * 2, [1] * 2, [0, 0])
+        with pytest.raises(LimitExceededError, match="4 assignments exceed cap 3"):
+            enumerate_flows(pair, OracleLimits(max_enumerations=3))
 
     def test_infinite_bounds_rejected(self):
         problem = build(2, [(0, 1)], ["-inf"], [1], [0, 0])

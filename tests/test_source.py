@@ -49,3 +49,18 @@ def test_cli_import_does_not_load_typing():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    """The package has no runtime dependencies: each import is relative or stdlib."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    ]
+    outside = [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], f"{path.name} imports {outside} from outside the standard library"
