@@ -5,6 +5,9 @@ decreasingly minimal (the largest value is as small as possible, then
 the second largest, and so on), describe the set of all such flows by a
 narrow pair of bound functions, pick the cheapest one, and certify
 fairness with objects a third party can check arc by arc.
+
+The brute-force ground truth is the submodule ``fairflow.oracle``; it is
+not re-exported, so importing the package does not load it.
 """
 
 from .certificates import (
@@ -76,16 +79,6 @@ from .mincost import (
     residual_potentials,
 )
 from .newton import BetaResult, NDIteration, NDTrace, compute_beta, nd_min_good_mu
-from .oracle import (
-    OracleLimits,
-    enumerate_flows,
-    oracle_beta,
-    oracle_cheapest_decmin,
-    oracle_decmin,
-    oracle_incmax,
-    oracle_min_saturated,
-    oracle_most_violating,
-)
 from .upper_min import (
     Chain,
     apply_round_bounds,

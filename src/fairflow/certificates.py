@@ -15,7 +15,7 @@ checked arc by arc without trusting the solver, which is the point:
   negative.  find_improving_dicircuit searches for one with the plain
   integer search, after weighting level l by a power of B large enough
   that no simple circuit can carry a lower level past a higher one
-  (see _vector_bf).
+  (see its docstring).
 
 * A potential-vector assigns each node an integer vector whose
   lexicographic differences are dominated by the arc costs.  Summing
@@ -110,10 +110,13 @@ def build_level_cost(
     return aux, LevelCost(levels, tuple(sign), tuple(level))
 
 
-def _vector_bf(aux: CostedResidual, cost: LevelCost):
-    """The scalar search on level costs weighted by powers of B.
+def find_improving_dicircuit(
+    aux: CostedResidual, cost: LevelCost
+) -> tuple[ResidualArc, ...] | None:
+    """A residual di-circuit with lexicographically negative cost, or None.
 
-    An arc tagged at level l costs sign * B**(k-1-l), B = 2*len(arcs)+1.
+    The scalar search runs on level costs weighted by powers of B: an
+    arc tagged at level l costs sign * B**(k-1-l), B = 2*len(arcs)+1.
     A simple circuit has at most len(arcs) arcs, so each component of
     its vector sum lies in [-len(arcs), len(arcs)] and the scalar sum
     has the sign of the first nonzero component: its lexicographic
@@ -123,7 +126,7 @@ def _vector_bf(aux: CostedResidual, cost: LevelCost):
     """
     k = cost.dimension
     base = 2 * len(aux.arcs) + 1
-    return bellman_ford(
+    _, cycle = bellman_ford(
         aux.node_count,
         [a.tail for a in aux.arcs],
         [a.head for a in aux.arcs],
@@ -132,13 +135,6 @@ def _vector_bf(aux: CostedResidual, cost: LevelCost):
             for sign, level in zip(cost.arc_sign, cost.arc_level)
         ],
     )
-
-
-def find_improving_dicircuit(
-    aux: CostedResidual, cost: LevelCost
-) -> tuple[ResidualArc, ...] | None:
-    """A residual di-circuit with lexicographically negative cost, or None."""
-    _, cycle = _vector_bf(aux, cost)
     if cycle is None:
         return None
     return tuple(aux.arcs[i] for i in cycle)

@@ -44,7 +44,6 @@ from .maxflow import (
 )
 from .mincost import min_cost_mflow
 from .newton import compute_beta
-from .oracle import OracleLimits, enumerate_flows, oracle_decmin
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +96,7 @@ def _load_json(path: str, what: str) -> object:
         raise ProblemFormatError(what, f"invalid JSON in {path}: {exc}")
 
 
-def _parse_limits(pairs: list[str]) -> OracleLimits:
+def _parse_limits(pairs: list[str]) -> dict[str, int]:
     allowed = {"max_edges", "max_box_width", "max_enumerations"}
     overrides: dict[str, int] = {}
     for pair in pairs:
@@ -108,7 +107,7 @@ def _parse_limits(pairs: list[str]) -> OracleLimits:
             overrides[key] = int(value)
         except ValueError:
             raise ProblemFormatError("--limits", f"{key} needs an integer, got {value!r}")
-    return OracleLimits(**overrides)
+    return overrides
 
 
 def _flow_payload(problem: FlowProblem, values) -> dict:
@@ -247,7 +246,10 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
         }
 
     if command == "oracle":
-        limits = _parse_limits(args.limits)
+        # imported here, not at the top: no other command enumerates
+        from .oracle import OracleLimits, enumerate_flows, oracle_decmin
+
+        limits = OracleLimits(**_parse_limits(args.limits))
         if args.oracle_op == "enumerate":
             flows = enumerate_flows(problem, limits)
             payload = {"status": "ok", "count": len(flows)}

@@ -5,7 +5,7 @@ labels the nodes by breadth-first distance from the source and saturates
 every shortest augmenting path, so a solve takes at most n - 1 phases of
 O(nm) each, O(n^2 m) in all, strongly polynomial.  Besides max_flow, one
 network serves three reductions: the feasibility network of a problem's
-graph and supplies under bounds (lower, upper).
+graph and supplies under its own lower bounds and a given upper vector.
 
 * find_feasible_mflow: an integral feasible flow, or a node set
   certifying infeasibility.
@@ -268,8 +268,8 @@ def _super_network(
     return net, base, demand_total
 
 
-def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence, start=None):
-    """Max flow on the _super_network of the problem under (lower, upper).
+def _feasibility_network(problem: FlowProblem, upper: Sequence, start=None):
+    """Max flow on the _super_network of the problem's lower bounds and ``upper``.
 
     Returns (net, base, sink_side, deficiency).  sink_side is the
     complement of the source-reachable set, and its deficiency is
@@ -277,7 +277,9 @@ def _feasibility_network(problem: FlowProblem, lower: Sequence, upper: Sequence,
     is feasible, and the same for every start.
     """
     n = problem.node_count
-    net, base, demand = _super_network(n, problem.graph.edges, problem.supply, lower, upper, start)
+    net, base, demand = _super_network(
+        n, problem.graph.edges, problem.supply, problem.lower, upper, start
+    )
     value, level = net.max_flow(n, n + 1)
     return net, base, frozenset(v for v in range(n) if level[v] < 0), demand - value
 
@@ -288,9 +290,7 @@ def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
     Exactly one of the two outcomes is returned: a flow passing
     check_flow, or a CutCertificate with deficiency > 0.
     """
-    net, base, violating, deficiency = _feasibility_network(
-        problem, problem.lower, problem.upper
-    )
+    net, base, violating, deficiency = _feasibility_network(problem, problem.upper)
     if deficiency == 0:
         return tuple(base[e] + net.pushed(2 * e) for e in range(len(base)))
     return CutCertificate(violating, deficiency)
@@ -303,7 +303,7 @@ def most_violating_set(problem: FlowProblem) -> CutCertificate:
     > 0 exactly when no feasible flow exists.  Ties are resolved by the
     complement of the source-reachable min-cut side.
     """
-    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, problem.upper)
+    *_, nodes, deficiency = _feasibility_network(problem, problem.upper)
     return CutCertificate(nodes, deficiency)
 
 
@@ -351,5 +351,5 @@ def nd_cut_subroutine(
         if g < problem.lower[e]:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
     raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
-    *_, nodes, deficiency = _feasibility_network(problem, problem.lower, raised, start)
+    *_, nodes, deficiency = _feasibility_network(problem, raised, start)
     return nodes, -deficiency

@@ -54,10 +54,6 @@ class NDTrace:
     mu_min: int
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def nd_min_good_mu(oracle: ArgmaxOracle, m_bound: int) -> tuple[int, NDTrace]:
     """Smallest integer mu >= 0 with p(X) - mu*b(X) <= 0 for all X.
 
@@ -77,7 +73,7 @@ def nd_min_good_mu(oracle: ArgmaxOracle, m_bound: int) -> tuple[int, NDTrace]:
     iterations = [NDIteration(0, x, p, b)]
     while True:
         prev = iterations[-1]
-        mu = _ceil_div(prev.p_value, prev.b_value)
+        mu = -(-prev.p_value // prev.b_value)  # the ceiling of p / b
         x, p, b = oracle(mu)
         if p - mu * b <= 0:
             return mu, NDTrace(tuple(iterations), mu)

@@ -29,16 +29,18 @@ WIDE = OracleLimits(max_box_width=200, max_enumerations=2_000_000)
 
 
 def windowed(problem, width):
-    """Finite stand-in: pull every infinite bound to a finite window."""
+    """Finite stand-in: pull every infinite bound to a finite window.
+
+    Both anchors come from the input bounds, so an edge with bounds
+    [-inf, +inf] gets [-width, width] and can carry flow either way.
+    """
     lower = list(problem.lower)
     upper = list(problem.upper)
-    for e in range(problem.edge_count):
-        if not lower[e].is_finite:
-            anchor = upper[e].finite if upper[e].is_finite else 0
-            lower[e] = ExtInt(anchor - width)
-        if not upper[e].is_finite:
-            anchor = lower[e].finite if lower[e].is_finite else 0
-            upper[e] = ExtInt(anchor + width)
+    for e, (lo, hi) in enumerate(zip(problem.lower, problem.upper)):
+        if not lo.is_finite:
+            lower[e] = ExtInt((hi.finite if hi.is_finite else 0) - width)
+        if not hi.is_finite:
+            upper[e] = ExtInt((lo.finite if lo.is_finite else 0) + width)
     return problem.with_bounds(lower, upper)
 
 
@@ -89,6 +91,17 @@ def assert_cap_preserves_decmin_set(rng, focus_upper):
         assert p_window == p_finite
         assert set(flows_window) == set(flows_finite)
         tested += 1
+
+
+class TestWindowed:
+    def test_both_anchors_come_from_the_input_bounds(self):
+        # anchoring the +inf upper at the new lower would give [-6, 0]
+        problem = build(
+            2, [(0, 1), (0, 1), (0, 1)], ["-inf", "-inf", 2], ["+inf", 3, "+inf"], [0, 0]
+        )
+        window = windowed(problem, 6)
+        assert window.lower == (-6, -3, 2)
+        assert window.upper == (6, 3, 8)
 
 
 class TestInfinityDigraph:

@@ -193,7 +193,8 @@ class TestMostViolating:
 
     def test_matches_oracle_with_infinite_bounds(self):
         # sets crossing an infinite bound score -inf and are never maximal
-        from fairflow import NEG_INF, oracle_most_violating
+        from fairflow import NEG_INF
+        from fairflow.oracle import oracle_most_violating
 
         rng = random.Random(47)
         for _ in range(80):

@@ -1,10 +1,13 @@
 """The README's examples stay true: the quick start runs and prints what
-its comments say, and the CLI block names every subcommand."""
+its comments say, the CLI block names every subcommand, and every name in
+the entry-point table resolves."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import fairflow
 from fairflow.cli import build_parser
 
 from conftest import subcommands
@@ -38,3 +41,16 @@ def test_cli_block_shows_every_subcommand_and_parses():
     for line in lines:
         # a flag the parser does not accept on that command exits 2
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_entry_point_table_names_resolve():
+    start = README.index("Key entry points")
+    table = README[start:README.index("\n\n", README.index("| --- |", start))]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([\w.]+)`", row)]
+    assert "fairflow.oracle" in names and "decmin_flow" in names
+    for name in names:
+        if "." in name:
+            importlib.import_module(name)
+        else:
+            assert callable(getattr(fairflow, name)), name

@@ -38,17 +38,29 @@ def test_no_identity_comparison_with_infinities(path):
     assert lines == [], f"{path.name} compares an infinity by identity at lines {lines}"
 
 
-def test_cli_import_does_not_load_typing():
-    """Annotations are never evaluated, so a CLI start need not pay for `typing`."""
+def _loads_in_a_fresh_process(module, loaded):
+    """Whether a fresh `python -S` that imports `module` has `loaded` in sys.modules."""
     src = Path(__file__).parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, fairflow.cli; print('typing' in sys.modules)"],
+        [sys.executable, "-S", "-c", f"import sys, {module}; print({loaded!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout in ("True\n", "False\n"), done.stdout
+    return done.stdout == "True\n"
+
+
+def test_cli_import_does_not_load_typing():
+    """Annotations are never evaluated, so a CLI start need not pay for `typing`."""
+    assert not _loads_in_a_fresh_process("fairflow.cli", "typing")
+
+
+@pytest.mark.parametrize("module", ["fairflow", "fairflow.cli"])
+def test_import_does_not_load_the_oracle(module):
+    """Only the tests and `fairflow oracle` enumerate; other starts skip it."""
+    assert not _loads_in_a_fresh_process(module, "fairflow.oracle")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
