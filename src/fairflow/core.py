@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from .extint import ExtInt, NEG_INF, POS_INF, as_extint
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 
 #: Edge-indexed integer flow values.
 FlowValues = tuple[int, ...]
@@ -96,6 +96,10 @@ class FlowProblem:
         supply: per-node required net inflow; must sum to zero.
         focus: edge ids on which flows are compared for fairness.
         cost: optional per-edge integer costs.
+
+    The bounds are ExtInt.  __post_init__ builds their plain-int views
+    ``_lo`` and ``_hi`` once (extint.plain); its checks and the inner
+    loops that read this problem's bounds run on them.
     """
 
     graph: Digraph
@@ -107,10 +111,12 @@ class FlowProblem:
 
     def __post_init__(self):
         m = self.graph.edge_count
-        lower = tuple(as_extint(b) for b in self.lower)
-        upper = tuple(as_extint(b) for b in self.upper)
+        lower = tuple([b if type(b) is ExtInt else as_extint(b) for b in self.lower])
+        upper = tuple([b if type(b) is ExtInt else as_extint(b) for b in self.upper])
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_lo", plain(lower))
+        object.__setattr__(self, "_hi", plain(upper))
         object.__setattr__(self, "supply", _ints(self.supply, "supply"))
         object.__setattr__(self, "focus", frozenset(self.focus))
         # checked in place: a set rebuilt from a tuple may iterate in another order
@@ -123,10 +129,10 @@ class FlowProblem:
             raise ValueError("bounds must have one entry per edge")
         if len(self.supply) != self.graph.node_count:
             raise ValueError("supply must have one entry per node")
-        for e, (lo, hi) in enumerate(zip(lower, upper)):
-            # a +inf lower or -inf upper exceeds the other bound or equals it
-            if lo > hi or (not lo.is_finite and lo == hi):
-                raise ValueError(f"edge {e} has invalid bounds [{lo}, {hi}]")
+        for e, (lo, hi) in enumerate(zip(self._lo, self._hi)):
+            # an infinite lower must be -inf and an infinite upper +inf
+            if (lower[e] == POS_INF or upper[e] == NEG_INF) if None in (lo, hi) else lo > hi:
+                raise ValueError(f"edge {e} has invalid bounds [{lower[e]}, {upper[e]}]")
         if sum(self.supply) != 0:
             raise ValueError("supply must sum to zero")
         for e in self.focus:
@@ -145,7 +151,7 @@ class FlowProblem:
 
     def finite_on_focus(self) -> bool:
         return all(
-            self.lower[e].is_finite and self.upper[e].is_finite for e in self.focus
+            self._lo[e] is not None and self._hi[e] is not None for e in self.focus
         )
 
     # -- derived problems ----------------------------------------------
@@ -199,18 +205,21 @@ def supply_sum(problem: FlowProblem, nodes: Iterable[int]) -> int:
 
 
 def _deficiency(problem: FlowProblem, lower, upper, nodes: Iterable[int]) -> ExtInt:
-    """supply(Z) - upper(entering Z) + lower(leaving Z); -inf if one is infinite."""
+    """supply(Z) - upper(entering Z) + lower(leaving Z); -inf if one is infinite.
+
+    The bounds are plain views (extint.plain).
+    """
     inside = set(nodes)
     total = sum(problem.supply[v] for v in inside)
     for e, (u, v) in enumerate(problem.graph.edges):
         if v in inside and u not in inside:
-            if not upper[e].is_finite:
+            if upper[e] is None:
                 return NEG_INF
-            total -= upper[e].finite
+            total -= upper[e]
         elif u in inside and v not in inside:
-            if not lower[e].is_finite:
+            if lower[e] is None:
                 return NEG_INF
-            total += lower[e].finite
+            total += lower[e]
     return ExtInt(total)
 
 
@@ -245,10 +254,10 @@ def check_flow(problem: FlowProblem, values: Sequence[int]) -> FlowViolation | N
     if len(values) != problem.edge_count:
         raise ValueError("flow must have one value per edge")
     values = _ints(values, "flow")
-    # plain ints: a lower bound is an int or -inf, an upper an int or +inf
-    for e, (z, lo, hi) in enumerate(zip(values, problem.lower, problem.upper)):
-        if (lo.is_finite and z < lo.finite) or (hi.is_finite and z > hi.finite):
-            return FlowViolation("bounds", e, f"edge {e}: value {z} outside [{lo}, {hi}]")
+    for e, (z, lo, hi) in enumerate(zip(values, problem._lo, problem._hi)):
+        if (lo is not None and z < lo) or (hi is not None and z > hi):
+            bounds = f"[{problem.lower[e]}, {problem.upper[e]}]"
+            return FlowViolation("bounds", e, f"edge {e}: value {z} outside {bounds}")
     net = imbalances(problem.graph, values)
     for v in range(problem.node_count):
         if net[v] != problem.supply[v]:
@@ -294,16 +303,16 @@ def _edge_residual_arcs(
 ) -> list[ResidualArc]:
     """Residual arcs of edge e, forward before backward."""
     u, v = problem.graph.edges[e]
-    z, lo, hi = values[e], problem.lower[e], problem.upper[e]
+    z, lo, hi = values[e], problem._lo[e], problem._hi[e]
     arcs = []
-    if not hi.is_finite:
+    if hi is None:
         arcs.append(ResidualArc(u, v, POS_INF, cost[e], e, True))
-    elif z < hi.finite:
-        arcs.append(ResidualArc(u, v, hi.finite - z, cost[e], e, True))
-    if not lo.is_finite:
+    elif z < hi:
+        arcs.append(ResidualArc(u, v, hi - z, cost[e], e, True))
+    if lo is None:
         arcs.append(ResidualArc(v, u, POS_INF, -cost[e], e, False))
-    elif z > lo.finite:
-        arcs.append(ResidualArc(v, u, z - lo.finite, -cost[e], e, False))
+    elif z > lo:
+        arcs.append(ResidualArc(v, u, z - lo, -cost[e], e, False))
     return arcs
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .core import FlowProblem, FlowValues
 from .errors import InfeasibleError, InternalCertificateFailure, NoDecMinError
 from .existence import InfArc, finitize_bounds
-from .extint import ExtInt
+from .extint import ExtInt, plain
 from .maxflow import CutCertificate, require_feasible
 from .mincost import min_cost_mflow
 from .newton import NDTrace, compute_beta
@@ -122,9 +122,9 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
         )
         lower, upper = f_prime, g_prime
     box = NarrowBox(lower, upper)
+    f_star, g_star = plain(lower), plain(upper)
     for e in problem.focus:
-        width = box.g_star[e] - box.f_star[e]
-        if not (box.f_star[e].is_finite and 0 <= width <= 1):
+        if f_star[e] is None or g_star[e] is None or not 0 <= g_star[e] - f_star[e] <= 1:
             raise InternalCertificateFailure(
                 f"box is not narrow on focus edge {e}: "
                 f"[{box.f_star[e]}, {box.g_star[e]}]"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .core import FlowProblem, FlowValues, _deficiency
 from .errors import InternalCertificateFailure, NoDecMinError
-from .extint import ExtInt
+from .extint import ExtInt, plain
 from .maxflow import require_feasible
 
 
@@ -148,13 +148,13 @@ def finitize_bounds(problem: FlowProblem) -> FlowProblem:
         for e in sorted(problem.focus):
             upper[e] = min(problem.upper[e], cap)
 
-    lower = list(problem.lower)
+    lower, lo, hi = list(problem.lower), list(problem._lo), plain(upper)
     for e, region in regions.items():
         # e enters its region, so its own upper bound is taken back out
-        implied = _deficiency(problem, lower, upper, region) + upper[e]
+        implied = _deficiency(problem, lo, hi, region) + upper[e]
         if not implied.is_finite or implied > upper[e]:
             raise InternalCertificateFailure(
                 f"implied bound {implied} on edge {e} is not usable"
             )
-        lower[e] = implied
+        lower[e], lo[e] = implied, implied.finite
     return problem.with_bounds(lower=lower, upper=upper)

@@ -5,8 +5,9 @@ Bound functions take values in Z together with an infinite endpoint
 infinities as tagged values rather than sentinel integers, defines a
 total order mixing freely with built-in ints, and makes the one
 undefined combination (-inf) + (+inf) a hard error instead of a NaN.
-The max-flow and residual-digraph loops run on plain ints; ExtInt
-appears where they read bounds from a FlowProblem and in results.
+ExtInt appears where they read bounds from the caller and in results.
+Inner loops run on plain(): the bounds as plain ints, None for an
+infinity, which is -inf on a lower bound and +inf on an upper one.
 """
 
 from __future__ import annotations
@@ -124,3 +125,13 @@ def as_extint(value) -> ExtInt:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected int or ExtInt, got {value!r}")
     return ExtInt(value)
+
+
+def plain(values) -> list[int | None]:
+    """The values as plain ints, None for an infinity; TypeError as in as_extint."""
+    return [
+        (None if b._kind else b._value) if type(b) is ExtInt
+        else b if type(b) is int
+        else plain((as_extint(b),))[0]  # TypeError unless an int subclass
+        for b in values
+    ]

@@ -35,7 +35,9 @@ gives the same minimizing sets, source-reachable set and D - value.
 Only the flow found, and how many augmenting paths it takes, change.
 A start that is already nearly feasible leaves a small D to route.
 
-Residual capacities are plain ints.  Each network replaces +inf by a
+Residual capacities are plain ints, and networks are built from plain
+bound views (extint.plain, None for an infinity), so ExtInt stays in
+the arguments and results.  Each network replaces +inf by a
 finite surrogate B = 1 + (total capacity of its super-source arcs).
 That is exact: every source arc is finite, so every augmenting path has
 a bottleneck of at most that total, which is below B, and every arc
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints
 from .errors import InfeasibleError
-from .extint import ExtInt, NEG_INF, POS_INF, as_extint
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 
 
 @dataclass(frozen=True)
@@ -71,37 +73,32 @@ class CutCertificate:
 
 def hoffman_deficiency(problem: FlowProblem, nodes: Iterable[int]) -> ExtInt:
     """supply(Z) - in_upper(Z) + out_lower(Z) for a node set Z."""
-    return _deficiency(problem, problem.lower, problem.upper, nodes)
+    return _deficiency(problem, problem._lo, problem._hi, nodes)
 
 
 class _Residual:
     """Mutable residual network with plain-int capacities.
 
-    Arcs are stored in pairs: arc i and its reverse i^1.  While arcs are
-    added, None stands for +inf; resolve() then swaps in the surrogate.
+    Arcs are stored in pairs: arc i and its reverse i^1.  The network
+    starts at zero flow, with every +inf (None) capacity replaced by the
+    finite surrogate ``infinity`` (module docstring).
     """
 
-    def __init__(self, node_count: int):
-        self.head: list[int] = []
-        self.cap: list[int | None] = []
-        self.res: list[int] = []
+    def __init__(self, node_count: int, ends: Sequence, capacity: Sequence,
+                 reverse: Sequence, infinity: int):
+        """Per (tail, head) in ends, arc tail->head and its reverse head->tail."""
         self.adj: list[list[int]] = [[] for _ in range(node_count)]
-
-    def add_pair(self, tail: int, head: int, capacity, reverse=0) -> None:
-        """Add arc tail->head and its reverse head->tail."""
-        self.adj[tail].append(len(self.head))
-        self.adj[head].append(len(self.head) + 1)
-        self.head += (head, tail)
-        self.cap += (capacity, reverse)
-
-    def resolve(self, infinity: int) -> None:
-        """Give every +inf arc the finite capacity ``infinity``; start at zero flow."""
-        self.cap = [infinity if c is None else c for c in self.cap]
+        for aid, (tail, head) in enumerate(ends):
+            self.adj[tail].append(2 * aid)
+            self.adj[head].append(2 * aid + 1)
+        self.head = [node for tail, head in ends for node in (head, tail)]
+        pairs = zip(capacity, reverse)
+        self.cap = [infinity if c is None else c for pair in pairs for c in pair]
         self.res = list(self.cap)
 
-    def pushed(self, aid: int) -> int:
-        """Net flow pushed along arc aid."""
-        return self.cap[aid] - self.res[aid]
+    def values(self, base: Sequence[int]) -> list[int]:
+        """Per edge e, base[e] plus the net flow pushed along arc 2e."""
+        return [b + c - r for b, c, r in zip(base, self.cap[::2], self.res[::2])]
 
     def levels(self, source: int, sink: int = -1, least: int = 1) -> list[int]:
         """Breadth-first distance from the source over arcs with residual >= least.
@@ -202,18 +199,16 @@ def max_flow(
     for e, cap in enumerate(caps):
         if cap < 0:
             raise ValueError(f"edge {e} has negative capacity {cap}")
-    net = _Residual(graph.node_count)
-    for (u, v), cap in zip(graph.edges, caps):
-        net.add_pair(u, v, cap.finite if cap.is_finite else None)
-    infinity = 1 + sum(c for c in net.cap if c is not None)
-    net.resolve(infinity)
+    view = plain(caps)
+    infinity = 1 + sum(c for c in view if c is not None)
+    net = _Residual(graph.node_count, graph.edges, view, [0] * graph.edge_count, infinity)
     level = net.levels(source, least=infinity)
     if level[sink] >= 0:
         value, flow = POS_INF, (0,) * graph.edge_count
     else:
         finite, level = net.max_flow(source, sink)
         value = ExtInt(finite)
-        flow = tuple(net.pushed(2 * e) for e in range(graph.edge_count))
+        flow = tuple(net.values([0] * graph.edge_count))
     return value, flow, frozenset(v for v, d in enumerate(level) if d >= 0)
 
 
@@ -232,44 +227,38 @@ def _super_network(
 ) -> tuple[_Residual, list[int], int]:
     """The super-source/super-sink network of ``edges`` under (lower, upper).
 
-    Returns (net, base, demand_total); the source is node n, the sink
-    n + 1.  Edge e starts at base[e], start[e] clamped into its bounds
-    when a start is given; arc 2e may raise it to its upper bound and
-    the reverse arc 2e+1 lower it to its lower bound (module docstring).
+    The bounds are plain views (extint.plain).  Returns (net, base,
+    demand_total); the source is node n, the sink n + 1.  Edge e starts
+    at base[e], start[e] clamped into its bounds when a start is given;
+    arc 2e may raise it to its upper bound and the reverse arc 2e+1
+    lower it to its lower bound (module docstring).
     """
     source, sink = n, n + 1
-    net = _Residual(n + 2)
-    base = []
+    if start is None:
+        base = [lo if lo is not None else 0 if hi is None else min(0, hi)
+                for lo, hi in zip(lower, upper)]
+    else:
+        base = [lo if lo is not None and b < lo else hi if hi is not None and b > hi else b
+                for b, lo, hi in zip(start, lower, upper)]
     excess = list(supply)
-    for e, (u, v) in enumerate(edges):
-        lo, hi = lower[e], upper[e]
-        if start is None:
-            b = lo.finite if lo.is_finite else min(0, hi.finite) if hi.is_finite else 0
-        else:
-            b = start[e]
-            if lo.is_finite and b < lo.finite:
-                b = lo.finite
-            elif hi.is_finite and b > hi.finite:
-                b = hi.finite
-        base.append(b)
+    for (u, v), b in zip(edges, base):
         excess[v] -= b
         excess[u] += b
-        up = hi.finite - b if hi.is_finite else None
-        down = b - lo.finite if lo.is_finite else None
-        net.add_pair(u, v, up, down)
-    demand_total = 0
-    for v, r in enumerate(excess):
-        if r > 0:
-            net.add_pair(v, sink, r)
-            demand_total += r
-        elif r < 0:
-            net.add_pair(source, v, -r)
-    net.resolve(demand_total + 1)
+    # the edges' arcs, then one terminal arc per unbalanced node in node order
+    terminals = [(v, sink) if r > 0 else (source, v) for v, r in enumerate(excess) if r]
+    demand_total = sum(r for r in excess if r > 0)
+    net = _Residual(
+        n + 2, [*edges, *terminals],
+        [None if hi is None else hi - b for b, hi in zip(base, upper)]
+        + [abs(r) for r in excess if r],
+        [None if lo is None else b - lo for b, lo in zip(base, lower)] + [0] * len(terminals),
+        demand_total + 1,
+    )
     return net, base, demand_total
 
 
 def _feasibility_network(problem: FlowProblem, upper: Sequence, start=None):
-    """Max flow on the _super_network of the problem's lower bounds and ``upper``.
+    """Max flow on the _super_network of the problem's lower bounds and plain ``upper``.
 
     Returns (net, base, sink_side, deficiency).  sink_side is the
     complement of the source-reachable set, and its deficiency is
@@ -278,7 +267,7 @@ def _feasibility_network(problem: FlowProblem, upper: Sequence, start=None):
     """
     n = problem.node_count
     net, base, demand = _super_network(
-        n, problem.graph.edges, problem.supply, problem.lower, upper, start
+        n, problem.graph.edges, problem.supply, problem._lo, upper, start
     )
     value, level = net.max_flow(n, n + 1)
     return net, base, frozenset(v for v in range(n) if level[v] < 0), demand - value
@@ -290,9 +279,9 @@ def find_feasible_mflow(problem: FlowProblem) -> FlowValues | CutCertificate:
     Exactly one of the two outcomes is returned: a flow passing
     check_flow, or a CutCertificate with deficiency > 0.
     """
-    net, base, violating, deficiency = _feasibility_network(problem, problem.upper)
+    net, base, violating, deficiency = _feasibility_network(problem, problem._hi)
     if deficiency == 0:
-        return tuple(base[e] + net.pushed(2 * e) for e in range(len(base)))
+        return tuple(net.values(base))
     return CutCertificate(violating, deficiency)
 
 
@@ -303,7 +292,7 @@ def most_violating_set(problem: FlowProblem) -> CutCertificate:
     > 0 exactly when no feasible flow exists.  Ties are resolved by the
     complement of the source-reachable min-cut side.
     """
-    *_, nodes, deficiency = _feasibility_network(problem, problem.upper)
+    *_, nodes, deficiency = _feasibility_network(problem, problem._hi)
     return CutCertificate(nodes, deficiency)
 
 
@@ -344,12 +333,12 @@ def nd_cut_subroutine(
         raise ValueError("g_prime must have one entry per edge")
     level = _edge_ids(level_edges, m, "level edge id")
     start = _start(start, m)
-    g_prime = [as_extint(g) for g in g_prime]
-    for e, g in enumerate(g_prime):
-        if g == NEG_INF:
+    view = plain(g_prime)
+    for e, (g, lo) in enumerate(zip(view, problem._lo)):
+        if g is None and g_prime[e] == NEG_INF:  # +inf dominates every lower bound
             raise ValueError(f"g_prime must be finite or +inf (edge {e})")
-        if g < problem.lower[e]:
+        if None not in (g, lo) and g < lo:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
-    raised = [g + mu if e in level else g for e, g in enumerate(g_prime)]
+    raised = [g + mu if g is not None and e in level else g for e, g in enumerate(view)]
     *_, nodes, deficiency = _feasibility_network(problem, raised, start)
     return nodes, -deficiency

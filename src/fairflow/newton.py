@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import FlowProblem, check_flow
 from .errors import AssumptionViolatedError
-from .extint import ExtInt, as_extint
+from .extint import ExtInt
 from .maxflow import (
     CutCertificate,
     find_feasible_mflow,
@@ -130,36 +130,37 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         violation = check_flow(problem, flow)
         if violation is not None:
             raise ValueError(f"flow is not feasible: {violation.message}")
-    lower = problem.lower
+    # the level arithmetic reads plain ints, finite on the focus set
+    lo, hi = problem._lo, problem._hi
     upper = list(problem.upper)
     focus = set(problem.focus)
     removed: list[int] = []
 
     def strip_tight() -> None:
         for e in sorted(focus):
-            if lower[e] == upper[e]:
+            if lo[e] == hi[e]:
                 focus.discard(e)
                 removed.append(e)
 
     strip_tight()
     while focus:
-        g_values = sorted({upper[e].finite for e in focus}, reverse=True)
+        g_values = sorted({hi[e] for e in focus}, reverse=True)
         top = g_values[0]
-        f_top = max(lower[e].finite for e in focus)
-        level = sorted(e for e in focus if upper[e].finite == top)
+        f_top = max(lo[e] for e in focus)
+        level = sorted(e for e in focus if hi[e] == top)
+        level_set = frozenset(level)
         beta1 = max(f_top, g_values[1]) if len(g_values) > 1 else f_top
-        dropped = list(upper)
-        for e in level:
-            dropped[e] = as_extint(beta1)
-        cut = find_feasible_mflow(problem.with_bounds(upper=dropped))
+        cap = ExtInt(beta1)
+        dropped = [cap if e in level_set else b for e, b in enumerate(upper)]
+        drop = problem.with_bounds(upper=dropped)
+        cut = find_feasible_mflow(drop)
         if not isinstance(cut, CutCertificate):
-            upper, flow = dropped, cut
+            upper, hi, flow = dropped, drop._hi, cut
             strip_tight()
             continue
 
         # The drop is infeasible: find the smallest good raise mu over the
         # dropped bounds; beta = beta1 + mu.
-        level_set = frozenset(level)
         level_ends = [problem.graph.edges[e] for e in level]
 
         def oracle(mu: int) -> tuple[frozenset[int], int, int]:
@@ -172,7 +173,8 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
 
         mu_min, trace = nd_min_good_mu(oracle, m_bound=problem.edge_count)
         beta = beta1 + mu_min
+        cap = ExtInt(beta)
         for e in level:
-            upper[e] = as_extint(beta)
+            upper[e] = cap
         return BetaResult(beta, tuple(upper), level_set, tuple(removed), trace)
     return BetaResult(None, tuple(upper), frozenset(), tuple(removed), None)

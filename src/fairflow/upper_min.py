@@ -34,6 +34,9 @@ always indicates a bug, never a property of the input.  The criteria
 are one window per edge (_chain_window): verify_O1_O5 checks flows
 against it, and apply_round_bounds returns it as a reduction round's
 rewritten bounds.
+
+The extended program, the windows and the checks read the problem's
+plain-int views; only the bounds apply_round_bounds returns are ExtInt.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from ._bf import bellman_ford
 from .core import FlowProblem, FlowValues, _edge_ids
 from .errors import InternalCertificateFailure
-from .extint import ExtInt
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
 
 
@@ -79,7 +82,7 @@ class Chain:
 
 def _chain_window(
     problem: FlowProblem, level: frozenset[int], chain: Chain
-) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], tuple[str | None, ...]]:
+) -> tuple[list, list, list[str | None]]:
     """Per edge, the window [lower, upper] the chain leaves, and its criterion.
 
     (O1) an edge leaving any member gets [lower, lower];
@@ -92,9 +95,12 @@ def _chain_window(
     Exactly one case applies: by nesting, an edge u->v enters
     depth[v] - depth[u] members (Chain.depth) when that is positive,
     and leaves some member exactly when it is negative.
+
+    Finite ends are plain ints, infinite ones NEG_INF or POS_INF: (O1)
+    on a -inf lower gives [-inf, -inf], which no value meets.
     """
-    lower = list(problem.lower)
-    upper = list(problem.upper)
+    lower = [NEG_INF if b is None else b for b in problem._lo]
+    upper = [POS_INF if b is None else b for b in problem._hi]
     criteria: list[str | None] = [None] * problem.edge_count
     depth = chain.depth(problem.node_count)
     for e, (u, v) in enumerate(problem.graph.edges):
@@ -111,7 +117,7 @@ def _chain_window(
             criteria[e], lower[e] = "O4", upper[e]
         else:
             criteria[e], upper[e] = "O5", upper[e] - 1
-    return tuple(lower), tuple(upper), tuple(criteria)
+    return lower, upper, criteria
 
 
 def verify_O1_O5(
@@ -148,11 +154,13 @@ def apply_round_bounds(
     """
     level_set = _edge_ids(level_set, problem.edge_count, "level edge id")
     for e in sorted(level_set):
-        if problem.upper[e] != beta:
+        if problem._hi[e] != beta:
             raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
     f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
     narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
-    return f_prime, g_prime, narrowed
+    # the returned bounds are ExtInt, one object per distinct end
+    ends = {b: as_extint(b) for b in {*f_prime, *g_prime}}
+    return tuple(ends[b] for b in f_prime), tuple(ends[b] for b in g_prime), narrowed
 
 
 def chain_dual_value(
@@ -187,17 +195,18 @@ def solve_upper_minimizer(
     """
     level = _edge_ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
+    lower, upper = problem._lo, problem._hi
     for e in copied:
-        if not (problem.lower[e].is_finite and problem.upper[e].is_finite):
+        if lower[e] is None or upper[e] is None:
             raise ValueError(f"edge {e} needs finite bounds to be counted")
-        if problem.lower[e] == problem.upper[e]:
+        if lower[e] == upper[e]:
             raise ValueError(f"edge {e} is tight; remove it from the count set")
     n, m, k, edges = problem.node_count, problem.edge_count, len(copied), problem.graph.edges
     start = _start(start, m)
-    upper = tuple(hi - 1 if e in level else hi for e, hi in enumerate(problem.upper))
+    upper = [hi - 1 if e in level else hi for e, hi in enumerate(upper)]
     net, base, demand = _super_network(
         n, edges + tuple(edges[e] for e in copied), problem.supply,
-        problem.lower + (ExtInt(0),) * k, upper + (ExtInt(1),) * k,
+        lower + [0] * k, upper + [1] * k,
         None if start is None else start + (0,) * k,
     )
     arcs, head, res = range(2 * (m + k)), net.head, net.res  # the real arcs
@@ -226,7 +235,7 @@ def solve_upper_minimizer(
         for v in range(n):
             if reached[v] < 0:
                 pi[v] += delta
-    flow = [b + net.pushed(2 * e) for e, b in enumerate(base)]
+    flow = net.values(base)
     copy_flow = dict(zip(copied, flow[m:]))
     count = sum(flow[m:])
     values = tuple(z + copy_flow.get(e, 0) for e, z in enumerate(flow[:m]))

@@ -74,11 +74,14 @@ def assert_cap_preserves_decmin_set(rng, focus_upper):
             continue
         finite = finitize_bounds(problem)
         assert finite.finite_on_focus()
-        # implied bounds never cut off a fair flow: the fair set of a
-        # wide finite window inside/outside coincide
+        # implied bounds never cut off a fair flow: the fair sets of the
+        # same wide finite window with and without them coincide.  The
+        # finitized problem is windowed too, since finitize_bounds leaves
+        # infinite bounds off the focus set.
         narrow = windowed(problem, 6)
         if isinstance(find_feasible_mflow(narrow), CutCertificate):
             continue
+        finite = windowed(finite, 6)
         contained = all(
             finite.lower[e] >= narrow.lower[e]
             and finite.upper[e] <= narrow.upper[e]

@@ -1,8 +1,18 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairflow import ExtInt, InfinityClashError, NEG_INF, POS_INF, as_extint
+from fairflow import (
+    Digraph,
+    ExtInt,
+    FlowProblem,
+    InfinityClashError,
+    NEG_INF,
+    POS_INF,
+    as_extint,
+    nd_cut_subroutine,
+)
+from fairflow.extint import plain
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 extints = st.one_of(
@@ -86,3 +96,83 @@ def test_adding_finite_preserves_kind(a, y):
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- the plain-int view the inner loops read ----------------------------------
+#
+# The references below state each rule once more in the ExtInt order.
+# FlowProblem's bound check and nd_cut_subroutine's g' checks run on
+# extint.plain, and must accept, reject and word their errors exactly as
+# these do.
+
+small = st.integers(min_value=-3, max_value=3)
+bounds = st.one_of(small, small.map(ExtInt), st.just(NEG_INF), st.just(POS_INF))
+not_ints = st.one_of(st.booleans(), st.floats(allow_nan=False, min_value=-3, max_value=3))
+entries = st.one_of(bounds, bounds, bounds, not_ints)
+
+
+def outcome(call, *args):
+    """(error type, text) of a call, or None when it returns."""
+    try:
+        call(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def reference_bound_check(lower, upper):
+    lower = [as_extint(b) for b in lower]
+    upper = [as_extint(b) for b in upper]
+    for e, (lo, hi) in enumerate(zip(lower, upper)):
+        if lo > hi or (not lo.is_finite and lo == hi):
+            raise ValueError(f"edge {e} has invalid bounds [{lo}, {hi}]")
+
+
+def reference_g_prime_check(problem, g_prime):
+    g_prime = [as_extint(g) for g in g_prime]
+    for e, g in enumerate(g_prime):
+        if g == NEG_INF:
+            raise ValueError(f"g_prime must be finite or +inf (edge {e})")
+        if g < problem.lower[e]:
+            raise ValueError(f"g_prime must dominate lower (edge {e})")
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(entries, min_size=1, max_size=6))
+def test_plain_reads_ints_and_infinities_and_rejects_the_rest(values):
+    expected = outcome(lambda: [as_extint(b) for b in values])
+    assert outcome(plain, values) == expected
+    if expected is None:
+        extints = [as_extint(b) for b in values]
+        assert plain(values) == [b.finite if b.is_finite else None for b in extints]
+        assert [type(b) for b in plain(values)] == [int if b.is_finite else type(None) for b in extints]
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
+def test_problem_bounds_are_checked_as_the_extint_order_says(pairs):
+    lower = [lo for lo, _ in pairs]
+    upper = [hi for _, hi in pairs]
+    graph = Digraph(2, ((0, 1),) * len(pairs))
+    assert outcome(FlowProblem, graph, tuple(lower), tuple(upper), (0, 0)) == outcome(
+        reference_bound_check, lower, upper
+    )
+
+
+lower_bounds = st.one_of(small, st.just(NEG_INF))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    st.lists(st.tuples(lower_bounds, st.one_of(st.none(), st.integers(0, 3)), entries),
+             min_size=1, max_size=4),
+    st.integers(0, 2),
+)
+def test_g_prime_is_checked_as_the_extint_order_says(edges, mu):
+    # a None width is an upper bound of +inf
+    lower = [lo for lo, _, _ in edges]
+    upper = [POS_INF if w is None else lo + w if lo is not NEG_INF else w for lo, w, _ in edges]
+    g_prime = [g for _, _, g in edges]
+    problem = FlowProblem(Digraph(2, ((0, 1),) * len(edges)), tuple(lower), tuple(upper), (0, 0))
+    expected = outcome(reference_g_prime_check, problem, g_prime)
+    assert outcome(nd_cut_subroutine, problem, {0}, g_prime, mu) == expected

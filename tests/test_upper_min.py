@@ -340,3 +340,23 @@ class TestVerify:
         forced = (2, 0)
         violations = verify_O1_O5(problem, {0}, forced, chain)
         assert any(v.startswith("O5") for v in violations)
+
+    def test_infinite_window_ends_still_reject(self):
+        # (O2) pins edge 0 at its +inf upper and (O1) edge 1 at its -inf
+        # lower: windows that no value meets, never an open end
+        problem = FlowProblem(
+            Digraph(3, ((0, 1), (1, 2), (0, 2))),
+            (ExtInt(0), NEG_INF, ExtInt(0)),
+            (POS_INF, ExtInt(5), ExtInt(4)),
+            (-1, 0, 1),
+        )
+        chain = Chain((frozenset({1}),))
+        assert verify_O1_O5(problem, (), (1, 1, 0), chain) == [
+            "O2: edge 0 has value 1, outside [+inf, +inf]",
+            "O1: edge 1 has value 1, outside [-inf, -inf]",
+        ]
+        f_prime, g_prime, narrowed = apply_round_bounds(problem, 0, (), chain)
+        assert f_prime == (POS_INF, NEG_INF, 0)
+        assert g_prime == (POS_INF, NEG_INF, 4)
+        assert {type(b) for b in f_prime + g_prime} == {ExtInt}
+        assert narrowed == frozenset()
