@@ -5,7 +5,7 @@ Bound functions take values in Z together with an infinite endpoint
 infinities as tagged values rather than sentinel integers, defines a
 total order mixing freely with built-in ints, and makes the one
 undefined combination (-inf) + (+inf) a hard error instead of a NaN.
-ExtInt appears where they read bounds from the caller and in results.
+ExtInt is what callers pass in and get back, as bounds and results.
 Inner loops run on plain(): the bounds as plain ints, None for an
 infinity, which is -inf on a lower bound and +inf on an upper one.
 """

@@ -335,7 +335,8 @@ def nd_cut_subroutine(
     start = _start(start, m)
     view = plain(g_prime)
     for e, (g, lo) in enumerate(zip(view, problem._lo)):
-        if g is None and g_prime[e] == NEG_INF:  # +inf dominates every lower bound
+        # None is -inf, refused, or +inf, which dominates every lower bound
+        if g is None and g_prime[e] == NEG_INF:
             raise ValueError(f"g_prime must be finite or +inf (edge {e})")
         if None not in (g, lo) and g < lo:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
