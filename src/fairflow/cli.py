@@ -3,14 +3,14 @@
 One positional problem file in, one JSON result document out (CSV for
 ``report``).  Exit codes: 0 ok, 1 infeasible or no fair flow exists,
 with its proof, 2 input error, 3 internal error (a bug, never a property
-of the input).  There is one output path: ``_run`` returns the exit code
-and a payload, ``main`` turns every error into a payload too, and prints
-exactly once.  stdout carries only the result.  stderr gets an ``error:
-...`` line on exit 2 (after argparse's usage line when the command line
-is malformed or lacks the problem file) and the traceback on exit 3, and
-nothing otherwise: there is no logging.  ``--trace`` exists only on
-``beta``, ``narrow-box``, ``decmin`` and ``cheapest-decmin``, the
-commands that have a trace to add.
+of the input).  There is one output path: ``_run`` returns the exit-0
+payload, ``main`` turns every error into the one payload of its status,
+and prints exactly once.  stdout carries only the result.  stderr gets
+an ``error: ...`` line on exit 2 (after argparse's usage line when the
+command line is malformed or lacks the problem file) and the traceback
+on exit 3, and nothing otherwise: there is no logging.  ``--trace``
+exists only on ``beta``, ``narrow-box``, ``decmin`` and
+``cheapest-decmin``, the commands that have a trace to add.
 """
 
 from __future__ import annotations
@@ -171,24 +171,20 @@ def _inf_arc_payload(arc) -> dict:
     }
 
 
-def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
-    """Exit code and payload: a JSON-ready dict, or the CSV text for ``report``."""
+def _run(args: argparse.Namespace) -> dict | str:
+    """The exit-0 payload: a JSON-ready dict, or the CSV text for ``report``."""
     problem = parse_problem(_load_json(args.input, "input"))
     command = args.command
 
     if command == "feasible":
         outcome = find_feasible_mflow(problem)
         if isinstance(outcome, CutCertificate):
-            return 1, {
-                "status": "infeasible",
-                "violating_set": sorted(outcome.nodes),
-                "deficiency": outcome.deficiency,
-            }
-        return 0, _flow_payload(problem, outcome)
+            raise InfeasibleError(certificate=outcome)
+        return _flow_payload(problem, outcome)
 
     if command == "violating-set":
         certificate = most_violating_set(problem)
-        return 0, {
+        return {
             "status": "ok",
             "set": sorted(certificate.nodes),
             "deficiency": certificate.deficiency,
@@ -210,20 +206,16 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
         }
         if args.trace and result.nd_trace is not None:
             payload["nd_trace"] = _trace_payload(result.nd_trace)
-        return 0, payload
+        return payload
 
     if command == "incmax":
-        return 0, _flow_payload(problem, incmax_flow(problem))
+        return _flow_payload(problem, incmax_flow(problem))
 
     if command == "exists":
         result = exists_decmin(problem)
-        if result.exists:
-            return 0, {"status": "ok", "exists": True}
-        return 1, {
-            "status": "no-decmin",
-            "exists": False,
-            "witness_circuit": [_inf_arc_payload(a) for a in result.witness],
-        }
+        if not result.exists:
+            raise NoDecMinError(witness=result.witness)
+        return {"status": "ok", "exists": True}
 
     if command == "verify":
         values = parse_flow(_load_json(args.flow, "flow"), problem.edge_count)
@@ -232,13 +224,13 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
             raise ProblemFormatError("flow", f"not feasible: {violation.message}")
         verdict = is_decmin(problem, values)
         if not verdict.decmin:
-            return 0, {
+            return {
                 "status": "ok",
                 "decmin": False,
                 "improving_circuit": [_aux_arc_payload(a) for a in verdict.circuit],
             }
         _, cost = build_level_cost(problem, values)
-        return 0, {
+        return {
             "status": "ok",
             "decmin": True,
             "potential": [list(vec) for vec in verdict.potential.values],
@@ -257,7 +249,7 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
             profile, flows = oracle_decmin(problem, limits)
             payload = {"status": "ok", "F_profile_sorted_desc": list(profile)}
         payload["flows"] = [list(f) for f in flows]
-        return 0, payload
+        return payload
 
     # narrow-box, decmin, cheapest-decmin and report all start from the box
     box, rounds = narrow_box(problem)
@@ -270,7 +262,7 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
                 f"{i},{beta},{len(rnd.level_set)},{len(rnd.narrowed)},"
                 f"{len(rnd.focus_next)},{depth}"
             )
-        return 0, "\n".join(lines)
+        return "\n".join(lines)
     if command == "narrow-box":
         payload = {
             "status": "ok",
@@ -288,13 +280,13 @@ def _run(args: argparse.Namespace) -> tuple[int, dict | str]:
             payload["cost"] = sum(c * z for c, z in zip(cost, values))
     if args.trace:
         payload["rounds"] = _rounds_payload(rounds)
-    return 0, payload
+    return payload
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, payload = _run(args)
+        code, payload = 0, _run(args)
     except InfeasibleError as exc:
         cut = exc.certificate
         code, payload = 1, {"status": "infeasible", "message": str(exc),

@@ -298,24 +298,6 @@ class CostedResidual:
     arcs: tuple[ResidualArc, ...]
 
 
-def _edge_residual_arcs(
-    problem: FlowProblem, values: Sequence[int], cost: Sequence[int], e: int
-) -> list[ResidualArc]:
-    """Residual arcs of edge e, forward before backward."""
-    u, v = problem.graph.edges[e]
-    z, lo, hi = values[e], problem._lo[e], problem._hi[e]
-    arcs = []
-    if hi is None:
-        arcs.append(ResidualArc(u, v, POS_INF, cost[e], e, True))
-    elif z < hi:
-        arcs.append(ResidualArc(u, v, hi - z, cost[e], e, True))
-    if lo is None:
-        arcs.append(ResidualArc(v, u, POS_INF, -cost[e], e, False))
-    elif z > lo:
-        arcs.append(ResidualArc(v, u, z - lo, -cost[e], e, False))
-    return arcs
-
-
 def build_costed_residual(problem: FlowProblem, values: Sequence[int]) -> CostedResidual:
     """Residual digraph of a feasible flow with signed costs.
 
@@ -323,8 +305,12 @@ def build_costed_residual(problem: FlowProblem, values: Sequence[int]) -> Costed
     """
     cost = problem.cost or (0,) * problem.edge_count
     arcs = []
-    for e in range(problem.edge_count):
-        arcs += _edge_residual_arcs(problem, values, cost, e)
+    for e, (u, v) in enumerate(problem.graph.edges):
+        z, lo, hi = values[e], problem._lo[e], problem._hi[e]
+        if hi is None or z < hi:
+            arcs.append(ResidualArc(u, v, POS_INF if hi is None else hi - z, cost[e], e, True))
+        if lo is None or z > lo:
+            arcs.append(ResidualArc(v, u, POS_INF if lo is None else z - lo, -cost[e], e, False))
     return CostedResidual(problem.node_count, tuple(arcs))
 
 

@@ -7,22 +7,16 @@ both directions: start from any feasible flow, cancel negative residual
 cycles until none remain, then the potentials fall out for free.
 
 Costs are restricted to integers so all arithmetic is exact.  The
-residual digraph is core's CostedResidual, shared with the fairness
-certificates; finite capacities are plain ints, unbounded arcs +inf.
+solver keeps its residual as plain int capacities; core's
+CostedResidual, shared with the fairness certificates, is what
+find_negative_dicircuit and residual_potentials read.
 """
 
 from __future__ import annotations
 
 from ._bf import bellman_ford
-from .core import (
-    CostedResidual,
-    FlowProblem,
-    FlowValues,
-    ResidualArc,
-    _edge_residual_arcs,
-)
+from .core import CostedResidual, FlowProblem, FlowValues, ResidualArc
 from .errors import InternalCertificateFailure, NegativeCycleError, UnboundedCostError
-from .extint import POS_INF
 from .maxflow import require_feasible
 
 
@@ -63,10 +57,12 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
 
     Establishes any feasible flow, then cancels negative residual
     di-circuits until the residual is conservative.  The residual is
-    kept in place: edge e owns slot 2e (forward arc) and slot 2e+1
-    (backward arc), and after a cancellation only the slots of the
-    circuit's edges are rebuilt.  Each search sees the present slots in
-    slot order, the order build_costed_residual gives.
+    kept as one list of plain capacities: entry 2e is the room to raise
+    edge e (upper - z, forward arc, cost c) and entry 2e+1 the room to
+    lower it (z - lower, backward arc, cost -c), None for +inf as in
+    extint.plain.  Each search runs over the non-zero entries in that
+    order, the arc order build_costed_residual gives, and a cancellation
+    changes only the entries of the circuit's edges.
 
     Raises InfeasibleError when no feasible flow exists, and
     UnboundedCostError when the cost guard fails: every negative-cost
@@ -80,40 +76,42 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     value and finite bound widths up to U: pseudo-polynomial.
     """
     cost = problem.cost or (0,) * problem.edge_count
-    for e in range(problem.edge_count):
-        if cost[e] < 0 and not problem.upper[e].is_finite:
-            raise UnboundedCostError(
-                f"edge {e} has negative cost and upper bound +inf"
-            )
-        if cost[e] > 0 and not problem.lower[e].is_finite:
-            raise UnboundedCostError(
-                f"edge {e} has positive cost and lower bound -inf"
-            )
+    lo, hi = problem._lo, problem._hi
+    tails, heads, weights = [], [], []
+    for e, (u, v) in enumerate(problem.graph.edges):
+        if cost[e] < 0 and hi[e] is None:
+            raise UnboundedCostError(f"edge {e} has negative cost and upper bound +inf")
+        if cost[e] > 0 and lo[e] is None:
+            raise UnboundedCostError(f"edge {e} has positive cost and lower bound -inf")
+        tails += (u, v)
+        heads += (v, u)
+        weights += (cost[e], -cost[e])
     values = list(require_feasible(problem))
-    slots: list[ResidualArc | None] = [None] * (2 * problem.edge_count)
-
-    def rebuild(e: int) -> None:
-        slots[2 * e] = slots[2 * e + 1] = None
-        for arc in _edge_residual_arcs(problem, values, cost, e):
-            slots[2 * e + (not arc.forward)] = arc
-
-    for e in range(problem.edge_count):
-        rebuild(e)
+    caps = []
+    for e, z in enumerate(values):
+        caps += (None if hi[e] is None else hi[e] - z, None if lo[e] is None else z - lo[e])
     while True:
-        residual = CostedResidual(
-            problem.node_count, tuple(arc for arc in slots if arc is not None)
+        live = [s for s, c in enumerate(caps) if c != 0]
+        _, cycle = bellman_ford(
+            problem.node_count,
+            [tails[s] for s in live],
+            [heads[s] for s in live],
+            [weights[s] for s in live],
         )
-        cycle = find_negative_dicircuit(residual)
         if cycle is None:
             return tuple(values)
-        delta = min(arc.capacity for arc in cycle)
-        if delta == POS_INF:
+        slots = [live[i] for i in cycle]
+        finite = [caps[s] for s in slots if caps[s] is not None]
+        if not finite:
             # unreachable by the cost guard: an infinite forward arc (upper +inf) costs
             # >= 0, an infinite backward one (lower -inf) -cost >= 0, so none is negative
             raise InternalCertificateFailure(
                 "negative di-circuit with infinite residual capacity"
             )
-        for arc in cycle:
-            values[arc.origin] += delta if arc.forward else -delta
-        for e in {arc.origin for arc in cycle}:
-            rebuild(e)
+        delta = min(finite)
+        for s in slots:
+            values[s >> 1] += -delta if s & 1 else delta
+            if caps[s] is not None:
+                caps[s] -= delta
+            if caps[s ^ 1] is not None:
+                caps[s ^ 1] += delta

@@ -223,7 +223,7 @@ class TestErrors:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "command", ["decmin", "narrow-box", "cheapest-decmin", "report", "incmax"]
+        "command", ["feasible", "decmin", "narrow-box", "cheapest-decmin", "report", "incmax"]
     )
     def test_infeasible_problem_exits_1_with_certificate(self, capsys, infeasible_file, command):
         # incmax solves the mirror problem but reports the input's set
@@ -351,12 +351,13 @@ GOLDEN = [
     (["decmin", "asym", "--trace"], 0, {**FAIR, "rounds": ROUNDS}),
     (["cheapest-decmin", "asym", "--trace"], 0, {**FAIR, "cost": 0, "rounds": ROUNDS}),
     (["feasible", "infeasible"], 1,
-     {"status": "infeasible", "violating_set": [1], "deficiency": 1}),
+     {"status": "infeasible", "message": "no feasible flow: set [1] has deficiency 1",
+      "violating_set": [1], "deficiency": 1}),
     (["decmin", "infeasible"], 1,
      {"status": "infeasible", "message": "no feasible flow: set [1] has deficiency 1",
       "violating_set": [1], "deficiency": 1}),
     (["exists", "triangle"], 1,
-     {"status": "no-decmin", "exists": False, "witness_circuit": CIRCUIT}),
+     {"status": "no-decmin", "message": "no dec-min flow exists", "witness_circuit": CIRCUIT}),
     (["decmin", "triangle"], 1,
      {"status": "no-decmin", "message": "no dec-min flow exists", "witness_circuit": CIRCUIT}),
     (["decmin", "malformed"], 2,

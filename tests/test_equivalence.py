@@ -8,11 +8,13 @@ the solver whose inner loops still ran on ExtInt, and the plain-int
 loops give the same; a refactor that changes any box, round, flow,
 certificate or message fails here.
 
-The dump also counts ExtInt constructions.  EXTINT_CREATED is the count
-once the inner loops ran on plain ints; a change that brings ExtInt
-back into a loop raises it and fails the second test.
+The dump also counts ExtInt and ResidualArc constructions.
+EXTINT_CREATED is the count once the inner loops ran on plain ints, and
+RESIDUAL_ARCS_CREATED the count once min-cost cycle canceling ran on
+plain residual capacities; a change that brings either object back
+into a loop raises its count and fails a ceiling test.
 
-Regenerate both only for an intended change of outputs or counts:
+Regenerate them only for an intended change of outputs or counts:
 ``PYTHONPATH=src python tests/test_equivalence.py``.
 """
 
@@ -28,6 +30,7 @@ from fairflow import (
     FlowProblem,
     NEG_INF,
     POS_INF,
+    ResidualArc,
     check_flow,
     cheapest_decmin_flow,
     compute_beta,
@@ -42,7 +45,8 @@ from fairflow.core import imbalances
 
 INSTANCES = 400
 DIGEST = "2a290c90d2c58fb517b2c5ddf20a9ab06fdfdb8d28ec20405d949851b9134c82"
-EXTINT_CREATED = 60_778
+EXTINT_CREATED = 60_054
+RESIDUAL_ARCS_CREATED = 17_348
 
 
 def instance(rng: random.Random) -> FlowProblem:
@@ -91,26 +95,30 @@ def attempt(call, *args) -> str:
 
 
 @functools.cache
-def dump() -> tuple[str, int]:
-    """(SHA-256 of the dump, ExtInt constructions while it ran)."""
+def dump() -> tuple[str, int, int]:
+    """(SHA-256 of the dump, ExtInt and ResidualArc constructions while it ran)."""
     digest = hashlib.sha256()
-    created = 0
-    init = ExtInt.__init__
+    created = {ExtInt: 0, ResidualArc: 0}
+    inits = {cls: cls.__init__ for cls in created}
 
-    def counted(self, value):
-        nonlocal created
-        created += 1
-        init(self, value)
+    def counted(cls):
+        def init(self, *args, **kwargs):
+            created[cls] += 1
+            inits[cls](self, *args, **kwargs)
 
-    ExtInt.__init__ = counted
+        return init
+
+    for cls in created:
+        cls.__init__ = counted(cls)
     try:
         rng = random.Random("equivalence")
         for _ in range(INSTANCES):
             for line in instance_lines(rng, instance(rng)):
                 digest.update(line.encode() + b"\n")
     finally:
-        ExtInt.__init__ = init
-    return digest.hexdigest(), created
+        for cls, init in inits.items():
+            cls.__init__ = init
+    return digest.hexdigest(), created[ExtInt], created[ResidualArc]
 
 
 def instance_lines(rng: random.Random, problem: FlowProblem):
@@ -144,13 +152,18 @@ def instance_lines(rng: random.Random, problem: FlowProblem):
 
 
 def test_outputs_match_the_recorded_digest():
-    digest, _ = dump()
+    digest, _, _ = dump()
     assert digest == DIGEST
 
 
 def test_extint_constructions_do_not_grow():
-    _, created = dump()
+    _, created, _ = dump()
     assert created <= EXTINT_CREATED
+
+
+def test_residual_arc_constructions_do_not_grow():
+    _, _, created = dump()
+    assert created <= RESIDUAL_ARCS_CREATED
 
 
 if __name__ == "__main__":

@@ -150,9 +150,11 @@ class TestMinCost:
         import fairflow.mincost as mincost
 
         problem = build(2, [(0, 1), (1, 0)], [0, 0], ["+inf", "+inf"], [0, 0], cost=[0, 0])
-        monkeypatch.setattr(
-            mincost, "find_negative_dicircuit", lambda residual: residual.arcs
-        )
+        # a search that returns every present arc as its circuit: both arcs are +inf
+        def every_arc(n, tails, heads, weights):
+            return [0] * n, list(range(len(tails)))
+
+        monkeypatch.setattr(mincost, "bellman_ford", every_arc)
         with pytest.raises(InternalCertificateFailure, match="infinite residual capacity"):
             min_cost_mflow(problem)
 
