@@ -32,13 +32,13 @@ its arc costs play no part in the fairness order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from ._bf import bellman_ford
 from .core import (
     CostedResidual,
     FlowProblem,
     FlowValues,
+    Record,
     ResidualArc,
     build_costed_residual,
     check_flow,
@@ -46,8 +46,7 @@ from .core import (
 from .errors import InfiniteBoundsError, InternalCertificateFailure
 
 
-@dataclass(frozen=True)
-class LevelCost:
+class LevelCost(Record):
     """Signed unit vector costs over the residual arcs.
 
     levels holds the distinct adjusted focus-arc values in decreasing
@@ -73,16 +72,14 @@ class LevelCost:
         return tuple(cost)
 
 
-@dataclass(frozen=True)
-class PotentialVector:
+class PotentialVector(Record):
     """Per-node integer vectors certifying fairness lexicographically."""
 
     dimension: int
     values: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DecMinVerdict:
+class DecMinVerdict(Record):
     """Fairness verdict with its certificate: exactly one side is set."""
 
     decmin: bool

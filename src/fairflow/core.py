@@ -16,12 +16,67 @@ results are deterministic even when optima are not unique.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 
 #: Edge-indexed integer flow values.
 FlowValues = tuple[int, ...]
+
+
+class Record:
+    """Immutable record: its fields are the subclass's own annotations, in order.
+
+    Construction binds them like a signature whose defaults are the
+    class-level values, then calls ``self.__post_init__()``, which may
+    normalise fields with ``object.__setattr__``.  ``==`` (same class
+    only) and ``hash`` use the tuple of fields; the repr is ``Name(f=v, ...)``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        get = attrgetter(*names)  # one name gives the value, not a 1-tuple
+        cls._values = get if len(names) > 1 else staticmethod(lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            bound = dict(zip(names, args), **kwargs)
+            if len(bound) != len(args) + len(kwargs) or not bound.keys() <= set(names):
+                raise TypeError(f"{type(self).__name__}(): extra, repeated or unknown arguments")
+            try:
+                args = [bound[n] if n in bound else type(self).__dict__[n] for n in names]
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__}() missing argument {missing}") from None
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of the record with some fields changed, validated again."""
+    values = [changes.pop(n, v) for n, v in zip(record._fields, record._values(record))]
+    return type(record)(*values, **changes)  # a name left over is an unknown argument
 
 
 def _int(value, field: str) -> int:
@@ -49,8 +104,7 @@ def _edge_ids(ids: Iterable, edge_count: int, field: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Directed multigraph with dense 0-based edge ids.
 
     Parallel edges and self-loops are permitted and keep distinct ids.
@@ -85,8 +139,7 @@ class Digraph:
         return [e for e, (u, v) in enumerate(self.edges) if u in inside and v not in inside]
 
 
-@dataclass(frozen=True)
-class FlowProblem:
+class FlowProblem(Record):
     """A bounded modular-flow instance.
 
     Fields:
@@ -106,7 +159,7 @@ class FlowProblem:
     lower: tuple[ExtInt, ...]
     upper: tuple[ExtInt, ...]
     supply: tuple[int, ...]
-    focus: frozenset[int] = field(default_factory=frozenset)
+    focus: frozenset[int] = frozenset()
     cost: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -235,8 +288,7 @@ def imbalances(graph: Digraph, values: Sequence[int]) -> list[int]:
 # -- feasibility checking ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowViolation:
+class FlowViolation(Record):
     """First constraint violated by a flow candidate."""
 
     kind: str  # "bounds" | "conservation"
@@ -272,8 +324,7 @@ def check_flow(problem: FlowProblem, values: Sequence[int]) -> FlowViolation | N
 # -- residual digraph ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualArc:
+class ResidualArc(Record):
     """One arc of the residual digraph of a flow.
 
     Forward arcs (the edge can grow, value below upper) carry the edge
@@ -290,8 +341,7 @@ class ResidualArc:
     forward: bool
 
 
-@dataclass(frozen=True)
-class CostedResidual:
+class CostedResidual(Record):
     """Residual digraph of a flow: arcs in edge-id order, forward before backward."""
 
     node_count: int

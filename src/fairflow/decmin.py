@@ -20,9 +20,8 @@ and the increasing-maximal variant is the mirror image under negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .core import FlowProblem, FlowValues
+from .core import FlowProblem, FlowValues, Record
 from .errors import InfeasibleError, InternalCertificateFailure, NoDecMinError
 from .existence import InfArc, finitize_bounds
 from .extint import ExtInt, plain
@@ -32,8 +31,7 @@ from .newton import NDTrace, compute_beta
 from .upper_min import Chain, apply_round_bounds, solve_upper_minimizer
 
 
-@dataclass(frozen=True)
-class NarrowBox:
+class NarrowBox(Record):
     """Tightened bounds characterizing all fair flows.
 
     Componentwise f <= f_star <= g_star <= g, with
@@ -44,8 +42,7 @@ class NarrowBox:
     g_star: tuple[ExtInt, ...]
 
 
-@dataclass(frozen=True)
-class ReductionRound:
+class ReductionRound(Record):
     """One round of the tightening loop.
 
     A normal round carries the cap beta, the upper bounds right after

@@ -17,16 +17,14 @@ answers come from one search per focus edge with lower bound -inf
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .core import FlowProblem, FlowValues, _deficiency
+from .core import FlowProblem, FlowValues, Record, _deficiency
 from .errors import InternalCertificateFailure, NoDecMinError
 from .extint import ExtInt, plain
 from .maxflow import require_feasible
 
 
-@dataclass(frozen=True)
-class InfArc:
+class InfArc(Record):
     """One unboundedness direction.
 
     Forward arcs come from edges whose lower bound is -inf (their value
@@ -40,8 +38,7 @@ class InfArc:
     reversed_: bool
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(Record):
     exists: bool
     witness: tuple[InfArc, ...] | None
 

@@ -52,15 +52,13 @@ otherwise uses B = 1 + (sum of the finite capacities).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from .core import Digraph, FlowProblem, FlowValues, _deficiency, _edge_ids, _int, _ints
+from .core import Digraph, FlowProblem, FlowValues, Record, _deficiency, _edge_ids, _int, _ints
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 
 
-@dataclass(frozen=True)
-class CutCertificate:
+class CutCertificate(Record):
     """A node set with its Hoffman deficiency.
 
     deficiency = supply(Z) - in_upper(Z) + out_lower(Z); positive values

@@ -20,9 +20,8 @@ decrease.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
-from .core import FlowProblem, check_flow
+from .core import FlowProblem, Record, check_flow
 from .errors import AssumptionViolatedError
 from .extint import ExtInt
 from .maxflow import (
@@ -36,8 +35,7 @@ from .maxflow import (
 ArgmaxOracle = Callable[[int], tuple[frozenset[int], int, int]]
 
 
-@dataclass(frozen=True)
-class NDIteration:
+class NDIteration(Record):
     """One probe of the driver: a bad mu and the set that witnesses it."""
 
     mu: int
@@ -46,8 +44,7 @@ class NDIteration:
     b_value: int
 
 
-@dataclass(frozen=True)
-class NDTrace:
+class NDTrace(Record):
     """Full iteration record; mu strictly increases, b strictly decreases."""
 
     iterations: tuple[NDIteration, ...]
@@ -88,8 +85,7 @@ def nd_min_good_mu(oracle: ArgmaxOracle, m_bound: int) -> tuple[int, NDTrace]:
             )
 
 
-@dataclass(frozen=True)
-class BetaResult:
+class BetaResult(Record):
     """Outcome of the smallest-cap computation.
 
     beta is the smallest integer cap keeping feasibility; clamped_upper

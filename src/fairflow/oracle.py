@@ -10,17 +10,15 @@ instead of slow.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FlowProblem, FlowValues, focus_profile
+from .core import FlowProblem, FlowValues, Record, focus_profile
 from .errors import InfiniteBoundsError, LimitExceededError
 from .extint import ExtInt
 from .maxflow import hoffman_deficiency
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(Record):
     max_edges: int = 10
     max_box_width: int = 4
     max_enumerations: int = 10_000_000

@@ -42,17 +42,15 @@ plain-int views; only the bounds apply_round_bounds returns are ExtInt.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, _edge_ids
+from .core import FlowProblem, FlowValues, Record, _edge_ids
 from .errors import InternalCertificateFailure
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Strictly nested node sets V1 > V2 > ... > Vq (possibly none)."""
 
     sets: tuple[frozenset[int], ...]

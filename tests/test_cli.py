@@ -4,6 +4,7 @@ import pytest
 
 from fairflow import cli
 from fairflow.cli import main
+from fairflow.core import replace
 from fairflow.errors import InternalCertificateFailure
 from fairflow.jsonio import problem_to_json
 
@@ -101,9 +102,7 @@ class TestCommands:
         assert payload["g_star"] == [2, 1, 4]
 
     def test_cheapest_decmin(self, capsys, tmp_path, asym):
-        import dataclasses
-
-        priced = dataclasses.replace(asym, cost=(1, 0, 0))
+        priced = replace(asym, cost=(1, 0, 0))
         path = tmp_path / "priced.json"
         path.write_text(json.dumps(problem_to_json(priced)))
         code, out, _ = run(capsys, "cheapest-decmin", str(path))
@@ -374,11 +373,9 @@ UNTRACED = [
 @pytest.fixture
 def golden(tmp_path, asym, asym_file, infeasible_file, triangle_file):
     """Name -> path of every file the golden invocations read."""
-    import dataclasses
-
     files = {"asym": asym_file, "infeasible": infeasible_file, "triangle": triangle_file}
     documents = {
-        "priced": problem_to_json(dataclasses.replace(asym, cost=(1, 0, 0))),
+        "priced": problem_to_json(replace(asym, cost=(1, 0, 0))),
         "fair": {"values": [2, 1, 3]},
         "unfair": {"values": [3, 0, 3]},
         "malformed": {"nodes": 2, "supply": [0, 0], "edges": [

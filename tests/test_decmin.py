@@ -24,7 +24,7 @@ from fairflow import (
     narrow_box,
     shift_along_witness,
 )
-from fairflow.core import imbalances
+from fairflow.core import imbalances, replace
 from fairflow.oracle import (
     enumerate_flows,
     oracle_cheapest_decmin,
@@ -243,9 +243,7 @@ class TestBoxProperties:
 
 class TestCheapest:
     def test_unique_decmin_ignores_cost(self, asym):
-        import dataclasses
-
-        priced = dataclasses.replace(asym, cost=(3, -2, 1))
+        priced = replace(asym, cost=(3, -2, 1))
         assert cheapest_decmin_flow(priced) == (2, 1, 3)
 
     def test_zero_cost(self, diamond):

@@ -15,6 +15,7 @@ from fairflow import (
     min_cost_mflow,
     residual_potentials,
 )
+from fairflow.core import replace
 from fairflow.extint import ExtInt, POS_INF
 from fairflow.oracle import enumerate_flows
 
@@ -119,9 +120,7 @@ class TestMinCost:
         assert check_flow(diamond, flow) is None
 
     def test_diamond_avoids_priced_edge(self, diamond):
-        import dataclasses
-
-        priced = dataclasses.replace(diamond, cost=(1, 0, 0, 0))
+        priced = replace(diamond, cost=(1, 0, 0, 0))
         flow = min_cost_mflow(priced)
         assert flow == (0, 2, 0, 2)
         assert total_cost(priced, flow) == 0

@@ -57,6 +57,13 @@ def test_cli_import_does_not_load_typing():
     assert not _loads_in_a_fresh_process("fairflow.cli", "typing")
 
 
+@pytest.mark.parametrize("loaded", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["fairflow", "fairflow.cli"])
+def test_import_does_not_load_dataclasses(module, loaded):
+    """Records are `core.Record`s, so a start skips `dataclasses` and the `inspect` it loads."""
+    assert not _loads_in_a_fresh_process(module, loaded)
+
+
 @pytest.mark.parametrize("module", ["fairflow", "fairflow.cli"])
 def test_import_does_not_load_the_oracle(module):
     """Only the tests and `fairflow oracle` enumerate; other starts skip it."""

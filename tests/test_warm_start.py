@@ -5,7 +5,6 @@ the reference is the same call started cold.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,7 @@ from fairflow import (
     nd_cut_subroutine,
     require_feasible,
 )
-from fairflow.core import imbalances
+from fairflow.core import imbalances, replace
 
 SIZES = (50, 100, 200, 400)
 
