@@ -182,15 +182,19 @@ class FlowProblem(Record):
             raise ValueError("bounds must have one entry per edge")
         if len(self.supply) != self.graph.node_count:
             raise ValueError("supply must have one entry per node")
-        for e, (lo, hi) in enumerate(zip(self._lo, self._hi)):
-            # an infinite lower must be -inf and an infinite upper +inf
-            if (lower[e] == POS_INF or upper[e] == NEG_INF) if None in (lo, hi) else lo > hi:
-                raise ValueError(f"edge {e} has invalid bounds [{lower[e]}, {upper[e]}]")
+        self._check_bounds()
         if sum(self.supply) != 0:
             raise ValueError("supply must sum to zero")
         for e in self.focus:
             if not (0 <= e < m):
                 raise ValueError(f"focus edge id {e} out of range")
+
+    def _check_bounds(self) -> None:
+        f, g = self.lower, self.upper
+        for e, (lo, hi) in enumerate(zip(self._lo, self._hi)):
+            # an infinite lower must be -inf and an infinite upper +inf
+            if (f[e] == POS_INF or g[e] == NEG_INF) if lo is None or hi is None else lo > hi:
+                raise ValueError(f"edge {e} has invalid bounds [{f[e]}, {g[e]}]")
 
     # -- convenience views ---------------------------------------------
 
@@ -227,6 +231,20 @@ class FlowProblem(Record):
             supply=tuple(-s for s in self.supply),
             cost=None if self.cost is None else tuple(-c for c in self.cost),
         )
+
+
+def _rebounded(problem: FlowProblem, lower, upper, focus, lo=None, hi=None) -> FlowProblem:
+    """The problem under new ExtInt bounds (plain views lo, hi if known) and focus.
+
+    Checks only the bound pairs (a solver bug still fails); graph, supply, cost are problem's.
+    """
+    derived = object.__new__(FlowProblem)
+    views = (plain(lower) if lo is None else lo, plain(upper) if hi is None else hi)
+    values = (problem.graph, lower, upper, problem.supply, frozenset(focus), problem.cost, *views)
+    for name, value in zip((*FlowProblem._fields, "_lo", "_hi"), values):
+        object.__setattr__(derived, name, value)
+    derived._check_bounds()
+    return derived
 
 
 # -- boundary functionals ----------------------------------------------

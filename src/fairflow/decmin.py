@@ -21,14 +21,14 @@ and the increasing-maximal variant is the mirror image under negation.
 from __future__ import annotations
 
 
-from .core import FlowProblem, FlowValues, Record
+from .core import FlowProblem, FlowValues, Record, _rebounded
 from .errors import InfeasibleError, InternalCertificateFailure, NoDecMinError
 from .existence import InfArc, finitize_bounds
 from .extint import ExtInt, plain
 from .maxflow import CutCertificate, require_feasible
 from .mincost import min_cost_mflow
 from .newton import NDTrace, compute_beta
-from .upper_min import Chain, apply_round_bounds, solve_upper_minimizer
+from .upper_min import Chain, solve_upper_minimizer
 
 
 class NarrowBox(Record):
@@ -75,33 +75,32 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
     """
     problem = finitize_bounds(problem)
     flow = require_feasible(problem)
-    lower = problem.lower
-    upper = problem.upper
-    focus = set(problem.focus)
+    current, focus = problem, set(problem.focus)  # later, the last round's rewritten problem
+    lower, upper = problem.lower, problem.upper
     rounds: list[ReductionRound] = []
     while focus:
         # compute_beta first drops the focus edges that are already tight;
         # flow is feasible for this round: the input's, or the last round's
-        beta_result = compute_beta(problem.with_bounds(lower, upper, focus), flow=flow)
+        beta_result = compute_beta(current, flow=flow)
         upper = beta_result.clamped_upper
         focus.difference_update(beta_result.removed_tight_edges)
         level_set = beta_result.saturated_level_set
         # every focus edge turned tight (beta None): a last round, no chain
         chain, f_prime, g_prime, narrowed = None, lower, upper, frozenset()
         if focus:
-            clamped = problem.with_bounds(lower, upper, focus)
-            flow, chain, count = solve_upper_minimizer(clamped, level_set, flow)
+            clamped = _rebounded(current, lower, upper, focus, lo=current._lo)
+            flow, chain, count, current, narrowed = solve_upper_minimizer(
+                clamped, level_set, flow, beta=beta_result.beta
+            )
             if count == 0:
                 raise InternalCertificateFailure(
                     "no flow reaches the cap even though the cap is minimal"
                 )
-            f_prime, g_prime, narrowed = apply_round_bounds(
-                clamped, beta_result.beta, level_set, chain
-            )
             if not narrowed:
                 raise InternalCertificateFailure(
                     "round narrowed no edge; the reduction would not terminate"
                 )
+            f_prime, g_prime = current.lower, current.upper
             focus -= narrowed
         rounds.append(
             ReductionRound(

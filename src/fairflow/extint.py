@@ -108,6 +108,11 @@ class ExtInt:
             return hash(self._value)
         return hash(("ExtInt", self._kind))
 
+    def __reduce__(self):  # under every protocol; an infinity loads as its singleton
+        if self._kind == _FIN:
+            return ExtInt, (self._value,)
+        return "POS_INF" if self._kind == _POS else "NEG_INF"
+
     def __repr__(self) -> str:
         if self._kind == _FIN:
             return str(self._value)
@@ -128,10 +133,10 @@ def as_extint(value) -> ExtInt:
 
 
 def plain(values) -> list[int | None]:
-    """The values as plain ints, None for an infinity; TypeError as in as_extint."""
+    """The values as plain ints, None for an infinity (or a None); TypeError as in as_extint."""
     return [
         (None if b._kind else b._value) if type(b) is ExtInt
-        else b if type(b) is int
+        else b if type(b) is int or b is None
         else plain((as_extint(b),))[0]  # TypeError unless an int subclass
         for b in values
     ]

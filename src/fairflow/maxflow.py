@@ -315,14 +315,14 @@ def nd_cut_subroutine(
     """Minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z) over node sets.
 
     Requires an int mu >= 0, level edge ids in range(edge_count), one g'
-    value per edge, g' >= lower and g' > -inf (a -inf entry would make
-    the objective unbounded below).  The empty set scores 0, so the
-    minimum is always <= 0.  Solved on the feasibility network under
-    (lower, g' + mu on L); the returned set is the union of all
-    minimizers (module docstring).  The network starts at ``start``, one
-    int per edge clamped into those bounds, when given: a flow feasible
-    under bounds close to these leaves little to route, and the answer
-    is the same for every start.
+    value per edge (None is +inf, as in a plain view), g' >= lower and
+    g' > -inf (a -inf entry would make the objective unbounded below).
+    The empty set scores 0, so the minimum is always <= 0.  Solved on
+    the feasibility network under (lower, g' + mu on L); the returned set
+    is the union of all minimizers (module docstring).  The network
+    starts at ``start``, one int per edge clamped into those bounds,
+    when given: a flow feasible under bounds close to these leaves
+    little to route, and the answer is the same for every start.
     """
     if _int(mu, "mu") < 0:
         raise ValueError("mu must be non-negative")

@@ -163,7 +163,7 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
             if mu == 0:  # the network the failed drop has just solved
                 nodes, value = cut.nodes, -cut.deficiency
             else:
-                nodes, value = nd_cut_subroutine(problem, level_set, dropped, mu, start=flow)
+                nodes, value = nd_cut_subroutine(problem, level_set, drop._hi, mu, start=flow)
             b = sum(1 for u, v in level_ends if v in nodes and u not in nodes)
             return nodes, mu * b - value, b
 

@@ -31,12 +31,11 @@ level sets of the positive levels.
 Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
 always indicates a bug, never a property of the input.  The criteria
-are one window per edge (_chain_window): verify_O1_O5 checks flows
-against it, and apply_round_bounds returns it as a reduction round's
-rewritten bounds.
-
-The extended program, the windows and the checks read the problem's
-plain-int views; only the bounds apply_round_bounds returns are ExtInt.
+are one window per edge (_chain_window), made once per solve: the flow
+is checked against it, the dual value counts its (O3) and (O4) edges,
+and a reduction round (beta given) takes it as its rewritten bounds,
+the only ExtInt output; everything else reads plain-int views.  The
+public checks run the same helpers on a window of their own.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, Record, _edge_ids
+from .core import FlowProblem, Record, _edge_ids, _rebounded
 from .errors import InternalCertificateFailure
-from .extint import ExtInt, NEG_INF, POS_INF, as_extint
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
 
 
@@ -118,6 +117,15 @@ def _chain_window(
     return lower, upper, criteria
 
 
+def _outside(lower: list, upper: list, criteria: list, values: Sequence[int]) -> list[str]:
+    """One message per edge with a criterion whose value lies outside its window."""
+    return [
+        f"{label}: edge {e} has value {values[e]}, outside [{lower[e]}, {upper[e]}]"
+        for e, label in enumerate(criteria)
+        if label is not None and not lower[e] <= values[e] <= upper[e]
+    ]
+
+
 def verify_O1_O5(
     problem: FlowProblem, level_edges: Iterable[int], values: Sequence[int], chain: Chain
 ) -> list[str]:
@@ -128,12 +136,19 @@ def verify_O1_O5(
     the criterion it violates.
     """
     level = _edge_ids(level_edges, problem.edge_count, "level edge id")
-    lower, upper, criteria = _chain_window(problem, level, chain)
-    return [
-        f"{label}: edge {e} has value {values[e]}, outside [{lower[e]}, {upper[e]}]"
-        for e, label in enumerate(criteria)
-        if label is not None and not lower[e] <= values[e] <= upper[e]
-    ]
+    return _outside(*_chain_window(problem, level, chain), values)
+
+
+def _round_bounds(problem: FlowProblem, beta: int, level: frozenset[int], window) -> tuple:
+    """apply_round_bounds on the chain's window."""
+    for e in sorted(level):
+        if problem._hi[e] != beta:
+            raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
+    f_prime, g_prime, criteria = window
+    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
+    # the returned bounds are ExtInt, one object per distinct end
+    ends = {b: as_extint(b) for b in {*f_prime, *g_prime}}
+    return tuple(ends[b] for b in f_prime), tuple(ends[b] for b in g_prime), narrowed
 
 
 def apply_round_bounds(
@@ -141,41 +156,34 @@ def apply_round_bounds(
 ) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], frozenset[int]]:
     """Rewrite a reduction round's bounds from the chain geometry.
 
-    Every cap-level edge must sit at beta.  (f', g') are the windows of
-    the criteria (O1)-(O5), _chain_window: a cap-level edge entering
-    two or more chain members is pinned at beta, entering one narrowed
-    to [beta-1, beta], crossing nothing capped at beta-1; any other
-    edge entering a member is pinned at its upper bound, and any edge
-    leaving one at its lower bound.  Returns (f', g', narrowed), where
-    narrowed holds the cap-level edges entering a member, collected in
-    edge-id order.
+    Every cap-level edge must sit at beta, so the windows (f', g') of
+    the criteria (O1)-(O5), _chain_window, pin a cap-level edge entering
+    two or more chain members at beta, narrow one entering one member
+    to [beta-1, beta] and cap one crossing nothing at beta-1.  Returns
+    (f', g', narrowed), narrowed holding the cap-level edges entering a
+    member.
     """
     level_set = _edge_ids(level_set, problem.edge_count, "level edge id")
-    for e in sorted(level_set):
-        if problem._hi[e] != beta:
-            raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
-    f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
-    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
-    # the returned bounds are ExtInt, one object per distinct end
-    ends = {b: as_extint(b) for b in {*f_prime, *g_prime}}
-    return tuple(ends[b] for b in f_prime), tuple(ends[b] for b in g_prime), narrowed
+    return _round_bounds(problem, beta, level_set, _chain_window(problem, level_set, chain))
 
 
-def chain_dual_value(
-    problem: FlowProblem, level_edges: Iterable[int], chain: Chain
-) -> int:
-    """Dual objective: entered L-edges minus the chain's slack terms."""
-    depth = chain.depth(problem.node_count)
-    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
-    edges = [problem.graph.edges[e] for e in level]
-    entered = sum(1 for u, v in edges if depth[v] > depth[u])
+def _dual_value(problem: FlowProblem, criteria: list[str | None], chain: Chain) -> int:
+    """Entered L-edges (O3, O4) minus the slack terms; ValueError if one is infinite."""
     # a member's slack in_upper - out_lower - supply is minus its deficiency
-    return entered + sum(hoffman_deficiency(problem, m).finite for m in chain.sets)
+    slack = sum(hoffman_deficiency(problem, m).finite for m in chain.sets)
+    return criteria.count("O3") + criteria.count("O4") + slack
+
+
+def chain_dual_value(problem: FlowProblem, level_edges: Iterable[int], chain: Chain) -> int:
+    """Dual objective: entered L-edges minus the chain's slack terms."""
+    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    return _dual_value(problem, _chain_window(problem, level, chain)[2], chain)
 
 
 def solve_upper_minimizer(
-    problem: FlowProblem, level_edges: Iterable[int], start: Sequence[int] | None = None
-) -> tuple[FlowValues, Chain, int]:
+    problem: FlowProblem, level_edges: Iterable[int], start: Sequence[int] | None = None,
+    *, beta: int | None = None,
+) -> tuple:
     """Feasible flow saturating as few ``level_edges`` as possible.
 
     Level edge ids must be ints (TypeError) in range(edge_count), each
@@ -190,6 +198,10 @@ def solve_upper_minimizer(
     term, and that the chain's dual value equals the count.  Raises
     InfeasibleError, with require_feasible's certificate, when the
     problem has no feasible flow at all.
+
+    With ``beta``, a reduction round: returns (flow, chain, count,
+    rewritten, narrowed), apply_round_bounds on the checked window given
+    as rewritten, the problem under (f', g') with narrowed out of focus.
     """
     level = _edge_ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
@@ -250,14 +262,21 @@ def solve_upper_minimizer(
         raise InternalCertificateFailure("residual potentials violate complementary slackness")
     levels = range(1, max(y) + 1)
     chain = Chain(tuple(frozenset(v for v, yv in enumerate(y) if yv >= i) for i in levels))
-    problems = verify_O1_O5(problem, level, values, chain)
-    if problems:
-        raise InternalCertificateFailure("saturation criteria failed: " + "; ".join(problems))
-    for member in chain.sets:
-        if len(member) >= problem.node_count:
-            raise InternalCertificateFailure("chain member is not a proper subset")
-        if not hoffman_deficiency(problem, member).is_finite:
-            raise InternalCertificateFailure("chain member has an infinite boundary term")
-    if chain_dual_value(problem, level, chain) != count:
+    window = _chain_window(problem, level, chain)
+    failed = _outside(*window, values)
+    if failed:
+        raise InternalCertificateFailure("saturation criteria failed: " + "; ".join(failed))
+    if any(len(member) >= problem.node_count for member in chain.sets):
+        raise InternalCertificateFailure("chain member is not a proper subset")
+    try:
+        dual = _dual_value(problem, window[2], chain)
+    except ValueError:  # the finite value of an infinite deficiency
+        raise InternalCertificateFailure("chain member has an infinite boundary term") from None
+    if dual != count:
         raise InternalCertificateFailure("dual chain value does not match count")
-    return values, chain, count
+    if beta is None:
+        return values, chain, count
+    f_prime, g_prime, narrowed = _round_bounds(problem, beta, level, window)
+    views = map(plain, window[:2])  # the window's ends are plain ints or infinities
+    rewritten = _rebounded(problem, f_prime, g_prime, problem.focus - narrowed, *views)
+    return values, chain, count, rewritten, narrowed

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairflow import (
     Digraph,
+    ExtInt,
     FlowProblem,
     NEG_INF,
     POS_INF,
@@ -110,10 +111,24 @@ def _pickled(value):
     return pickle.loads(pickle.dumps(value))
 
 
-class TestInfinityCopies:
-    """Infinities compare by value: a copy is a new object that must behave alike."""
+def _fresh(value):
+    """A deep copy whose infinities are new objects, as a pickle that
+    stored an ExtInt's slots, not its __reduce__ form, loads them."""
+    infinities = {id(b): ExtInt._make_infinite(b._kind) for b in (NEG_INF, POS_INF)}
+    return copy.deepcopy(value, infinities)
 
-    @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled])
+
+COPIERS = [copy.deepcopy, _pickled, _fresh]
+
+
+class TestInfinityCopies:
+    """Infinities compare by value.
+
+    A copy or a pickle of one is the module's singleton; an infinity
+    that is a new object must behave alike.
+    """
+
+    @pytest.mark.parametrize("copier", COPIERS)
     def test_copied_problem_solves_alike(self, copier, triangle_unbounded):
         problem = build(
             2,
@@ -124,7 +139,8 @@ class TestInfinityCopies:
             focus=[0, 2],
         )
         copied = copier(problem)
-        assert copied.lower[0] is not NEG_INF and copied.upper[0] is not POS_INF
+        singletons = copied.lower[0] is NEG_INF and copied.upper[0] is POS_INF
+        assert singletons is (copier is not _fresh)
         assert copied == problem
         assert narrow_box(copied) == narrow_box(problem)
         assert decmin_flow(copied) == decmin_flow(problem)
@@ -133,11 +149,11 @@ class TestInfinityCopies:
         assert triangle == triangle_unbounded
         assert exists_decmin(triangle) == exists_decmin(triangle_unbounded)
 
-    @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled])
+    @pytest.mark.parametrize("copier", COPIERS)
     @pytest.mark.parametrize("infinity", [POS_INF, NEG_INF], ids=["+inf", "-inf"])
     def test_copied_infinite_pair_rejected(self, copier, infinity):
         lower, upper = copier(infinity), copier(infinity)
-        assert lower is not infinity and upper is not infinity
+        assert (lower is infinity and upper is infinity) is (copier is not _fresh)
         message = re.escape(f"edge 0 has invalid bounds [{infinity}, {infinity}]")
         with pytest.raises(ValueError, match=message):
             FlowProblem(Digraph(2, ((0, 1),)), (lower,), (upper,), (0, 0))

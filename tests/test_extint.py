@@ -148,6 +148,11 @@ def test_plain_reads_ints_and_infinities_and_rejects_the_rest(values):
         assert [type(b) for b in plain(values)] == [int if b.is_finite else type(None) for b in extints]
 
 
+def test_plain_keeps_none_so_a_view_reads_as_itself():
+    view = plain((ExtInt(2), NEG_INF, POS_INF, 5))
+    assert plain(view) == view == [2, None, None, 5]
+
+
 @settings(derandomize=True, max_examples=400)
 @given(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
 def test_problem_bounds_are_checked_as_the_extint_order_says(pairs):

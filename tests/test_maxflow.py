@@ -259,6 +259,7 @@ class TestNdCutSubroutine:
             g_prime = problem.upper
             mu = rng.randint(0, 3)
             nodes, value = nd_cut_subroutine(problem, level, g_prime, mu)
+            assert nd_cut_subroutine(problem, level, problem._hi, mu) == (nodes, value)
             best = min(
                 self.objective(problem, level, g_prime, mu, subset)
                 for subset in all_subsets(problem.node_count)
@@ -332,6 +333,8 @@ class TestNdCutSubroutine:
         with pytest.raises(ValueError, match="edge 0"):
             nd_cut_subroutine(problem, set(), (NEG_INF,), 0)
         assert nd_cut_subroutine(problem, set(), (POS_INF,), 0) == ({0, 1}, 0)
+        # a plain view's None is +inf, as compute_beta's probes pass it
+        assert nd_cut_subroutine(problem, set(), (None,), 0) == ({0, 1}, 0)
 
     def test_rejects_level_edges_out_of_range(self):
         problem = build(2, [(0, 1)], [0], [3], [0, 0])

@@ -5,10 +5,13 @@ no valid problem reaches it.  Each case below corrupts one collaborator
 of the checking routine with monkeypatch, or hands the routine a
 corrupted input, and expects the check's InternalCertificateFailure.
 Through the CLI such a failure exits 3 as an internal error, never 2 as
-bad input.
+bad input.  The reduction round's rewritten problem skips
+FlowProblem.__post_init__ but keeps its bound-pair check, which raises
+that check's ValueError; it too exits 3.
 """
 
 import json
+import re
 
 import pytest
 
@@ -30,13 +33,34 @@ def saturate():
 
 def zero_count(monkeypatch, asym):
     solve = decmin.solve_upper_minimizer
-    monkeypatch.setattr(decmin, "solve_upper_minimizer", lambda *a: (*solve(*a)[:2], 0))
+
+    def no_count(*args, **kwargs):
+        flow, chain, _, *rewritten = solve(*args, **kwargs)
+        return (flow, chain, 0, *rewritten)
+
+    monkeypatch.setattr(decmin, "solve_upper_minimizer", no_count)
     return lambda: decmin.narrow_box(asym)
 
 
 def nothing_narrowed(monkeypatch, asym):
-    bounds = decmin.apply_round_bounds
-    monkeypatch.setattr(decmin, "apply_round_bounds", lambda *a: (*bounds(*a)[:2], frozenset()))
+    # the reduction round rewrites its bounds through the helper apply_round_bounds calls
+    bounds = upper_min._round_bounds
+    monkeypatch.setattr(upper_min, "_round_bounds", lambda *a: (*bounds(*a)[:2], frozenset()))
+    return lambda: decmin.narrow_box(asym)
+
+
+def inverted_window_end(monkeypatch, asym):
+    # asym's edge 2 crosses no chain member, so no criterion checks its window
+    # [0, 4]; only the rewritten problem's bound check sees [5, 4]
+    window = upper_min._chain_window
+
+    def corrupted(*args):
+        lower, upper, criteria = window(*args)
+        assert criteria[2] is None
+        lower[2] = upper[2] + 1
+        return lower, upper, criteria
+
+    monkeypatch.setattr(upper_min, "_chain_window", corrupted)
     return lambda: decmin.narrow_box(asym)
 
 
@@ -90,7 +114,8 @@ def negative_final_residual(monkeypatch, asym):
 
 
 def failed_criteria(monkeypatch, asym):
-    monkeypatch.setattr(upper_min, "verify_O1_O5", lambda *a: ["O1: corrupted"])
+    # the helper verify_O1_O5 calls, on the window solve_upper_minimizer computed
+    monkeypatch.setattr(upper_min, "_outside", lambda *a: ["O1: corrupted"])
     return saturate
 
 
@@ -106,7 +131,8 @@ def infinite_boundary_term(monkeypatch, asym):
 
 
 def dual_value_mismatch(monkeypatch, asym):
-    monkeypatch.setattr(upper_min, "chain_dual_value", lambda *a: -1)
+    # the helper chain_dual_value calls
+    monkeypatch.setattr(upper_min, "_dual_value", lambda *a: -1)
     return saturate
 
 
@@ -134,15 +160,36 @@ def test_self_check_fires(monkeypatch, asym, corrupt, message):
         solve()
 
 
-def test_self_check_failure_exits_3_in_the_cli(monkeypatch, capsys, tmp_path, asym):
+def test_rewritten_bounds_are_checked(monkeypatch, asym):
+    # the reduction round builds its next problem without FlowProblem's
+    # __post_init__, but still checks every bound pair with its message
+    solve = inverted_window_end(monkeypatch, asym)
+    with pytest.raises(ValueError, match=re.escape("edge 2 has invalid bounds [5, 4]")):
+        solve()
+
+
+def cli_failure(monkeypatch, capsys, tmp_path, asym, corrupt):
+    """Exit code, stdout payload and stderr of `fairflow decmin` on asym, corrupted."""
     path = tmp_path / "asym.json"
     path.write_text(json.dumps(problem_to_json(asym)))
-    nothing_narrowed(monkeypatch, asym)
+    corrupt(monkeypatch, asym)
     code = cli.main(["decmin", str(path)])
     captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+def test_self_check_failure_exits_3_in_the_cli(monkeypatch, capsys, tmp_path, asym):
+    code, payload, err = cli_failure(monkeypatch, capsys, tmp_path, asym, nothing_narrowed)
     assert code == 3
-    assert json.loads(captured.out) == {
+    assert payload == {
         "status": "internal-error",
         "message": "round narrowed no edge; the reduction would not terminate",
     }
-    assert "InternalCertificateFailure" in captured.err
+    assert "InternalCertificateFailure" in err
+
+
+def test_rewritten_bound_check_exits_3_in_the_cli(monkeypatch, capsys, tmp_path, asym):
+    code, payload, err = cli_failure(monkeypatch, capsys, tmp_path, asym, inverted_window_end)
+    assert code == 3
+    assert payload == {"status": "internal-error", "message": "edge 2 has invalid bounds [5, 4]"}
+    assert "ValueError" in err
