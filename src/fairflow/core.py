@@ -233,13 +233,13 @@ class FlowProblem(Record):
         )
 
 
-def _rebounded(problem: FlowProblem, lower, upper, focus, lo=None, hi=None) -> FlowProblem:
-    """The problem under new ExtInt bounds (plain views lo, hi if known) and focus.
+def _rebounded(problem: FlowProblem, lower, upper, focus, lo=None) -> FlowProblem:
+    """The problem under new ExtInt bounds (lower's plain view lo if known) and focus.
 
     Checks only the bound pairs (a solver bug still fails); graph, supply, cost are problem's.
     """
     derived = object.__new__(FlowProblem)
-    views = (plain(lower) if lo is None else lo, plain(upper) if hi is None else hi)
+    views = (plain(lower) if lo is None else lo, plain(upper))
     values = (problem.graph, lower, upper, problem.supply, frozenset(focus), problem.cost, *views)
     for name, value in zip((*FlowProblem._fields, "_lo", "_hi"), values):
         object.__setattr__(derived, name, value)

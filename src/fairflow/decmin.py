@@ -24,11 +24,11 @@ from __future__ import annotations
 from .core import FlowProblem, FlowValues, Record, _rebounded
 from .errors import InfeasibleError, InternalCertificateFailure, NoDecMinError
 from .existence import InfArc, finitize_bounds
-from .extint import ExtInt, plain
+from .extint import ExtInt
 from .maxflow import CutCertificate, require_feasible
 from .mincost import min_cost_mflow
 from .newton import NDTrace, compute_beta
-from .upper_min import Chain, solve_upper_minimizer
+from .upper_min import Chain, apply_round_bounds, solve_upper_minimizer
 
 
 class NarrowBox(Record):
@@ -76,49 +76,47 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
     problem = finitize_bounds(problem)
     flow = require_feasible(problem)
     current, focus = problem, set(problem.focus)  # later, the last round's rewritten problem
-    lower, upper = problem.lower, problem.upper
     rounds: list[ReductionRound] = []
     while focus:
         # compute_beta first drops the focus edges that are already tight;
         # flow is feasible for this round: the input's, or the last round's
         beta_result = compute_beta(current, flow=flow)
-        upper = beta_result.clamped_upper
         focus.difference_update(beta_result.removed_tight_edges)
-        level_set = beta_result.saturated_level_set
+        beta, level_set = beta_result.beta, beta_result.saturated_level_set
+        clamped = _rebounded(
+            current, current.lower, beta_result.clamped_upper, focus, lo=current._lo
+        )
         # every focus edge turned tight (beta None): a last round, no chain
-        chain, f_prime, g_prime, narrowed = None, lower, upper, frozenset()
+        current, chain, narrowed = clamped, None, frozenset()
         if focus:
-            clamped = _rebounded(current, lower, upper, focus, lo=current._lo)
-            flow, chain, count, current, narrowed = solve_upper_minimizer(
-                clamped, level_set, flow, beta=beta_result.beta
-            )
+            flow, chain, count = solve_upper_minimizer(clamped, level_set, flow)
             if count == 0:
                 raise InternalCertificateFailure(
                     "no flow reaches the cap even though the cap is minimal"
                 )
+            f_prime, g_prime, narrowed = apply_round_bounds(clamped, beta, level_set, chain)
             if not narrowed:
                 raise InternalCertificateFailure(
                     "round narrowed no edge; the reduction would not terminate"
                 )
-            f_prime, g_prime = current.lower, current.upper
             focus -= narrowed
+            current = _rebounded(clamped, f_prime, g_prime, focus)
         rounds.append(
             ReductionRound(
-                beta=beta_result.beta,
-                g_capped=upper,
+                beta=beta,
+                g_capped=clamped.upper,
                 level_set=level_set,
                 chain=chain,
-                f_prime=f_prime,
-                g_prime=g_prime,
+                f_prime=current.lower,
+                g_prime=current.upper,
                 narrowed=narrowed,
                 focus_next=frozenset(focus),
                 removed_tight=beta_result.removed_tight_edges,
                 nd_trace=beta_result.nd_trace,
             )
         )
-        lower, upper = f_prime, g_prime
-    box = NarrowBox(lower, upper)
-    f_star, g_star = plain(lower), plain(upper)
+    box = NarrowBox(current.lower, current.upper)
+    f_star, g_star = current._lo, current._hi
     for e in problem.focus:
         if f_star[e] is None or g_star[e] is None or not 0 <= g_star[e] - f_star[e] <= 1:
             raise InternalCertificateFailure(

@@ -32,10 +32,11 @@ Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
 always indicates a bug, never a property of the input.  The criteria
 are one window per edge (_chain_window), made once per solve: the flow
-is checked against it, the dual value counts its (O3) and (O4) edges,
-and a reduction round (beta given) takes it as its rewritten bounds,
-the only ExtInt output; everything else reads plain-int views.  The
-public checks run the same helpers on a window of their own.
+is checked against it and the dual value counts its (O3) and (O4)
+edges; everything else reads plain-int views.  The public checks run
+the same helpers on a window of their own, and apply_round_bounds,
+which narrow_box calls after each solve, turns its window into the
+round's rewritten ExtInt bounds.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ._bf import bellman_ford
-from .core import FlowProblem, Record, _edge_ids, _rebounded
+from .core import FlowProblem, FlowValues, Record, _edge_ids
 from .errors import InternalCertificateFailure
-from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
+from .extint import ExtInt, NEG_INF, POS_INF, as_extint
 from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
 
 
@@ -139,18 +140,6 @@ def verify_O1_O5(
     return _outside(*_chain_window(problem, level, chain), values)
 
 
-def _round_bounds(problem: FlowProblem, beta: int, level: frozenset[int], window) -> tuple:
-    """apply_round_bounds on the chain's window."""
-    for e in sorted(level):
-        if problem._hi[e] != beta:
-            raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
-    f_prime, g_prime, criteria = window
-    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
-    # the returned bounds are ExtInt, one object per distinct end
-    ends = {b: as_extint(b) for b in {*f_prime, *g_prime}}
-    return tuple(ends[b] for b in f_prime), tuple(ends[b] for b in g_prime), narrowed
-
-
 def apply_round_bounds(
     problem: FlowProblem, beta: int, level_set: Iterable[int], chain: Chain
 ) -> tuple[tuple[ExtInt, ...], tuple[ExtInt, ...], frozenset[int]]:
@@ -164,7 +153,14 @@ def apply_round_bounds(
     member.
     """
     level_set = _edge_ids(level_set, problem.edge_count, "level edge id")
-    return _round_bounds(problem, beta, level_set, _chain_window(problem, level_set, chain))
+    for e in sorted(level_set):
+        if problem._hi[e] != beta:
+            raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
+    f_prime, g_prime, criteria = _chain_window(problem, level_set, chain)
+    narrowed = frozenset(e for e, c in enumerate(criteria) if c in ("O3", "O4"))
+    # the returned bounds are ExtInt, one object per distinct end
+    ends = {b: as_extint(b) for b in {*f_prime, *g_prime}}
+    return tuple(ends[b] for b in f_prime), tuple(ends[b] for b in g_prime), narrowed
 
 
 def _dual_value(problem: FlowProblem, criteria: list[str | None], chain: Chain) -> int:
@@ -181,9 +177,8 @@ def chain_dual_value(problem: FlowProblem, level_edges: Iterable[int], chain: Ch
 
 
 def solve_upper_minimizer(
-    problem: FlowProblem, level_edges: Iterable[int], start: Sequence[int] | None = None,
-    *, beta: int | None = None,
-) -> tuple:
+    problem: FlowProblem, level_edges: Iterable[int], start: Sequence[int] | None = None
+) -> tuple[FlowValues, Chain, int]:
     """Feasible flow saturating as few ``level_edges`` as possible.
 
     Level edge ids must be ints (TypeError) in range(edge_count), each
@@ -198,10 +193,6 @@ def solve_upper_minimizer(
     term, and that the chain's dual value equals the count.  Raises
     InfeasibleError, with require_feasible's certificate, when the
     problem has no feasible flow at all.
-
-    With ``beta``, a reduction round: returns (flow, chain, count,
-    rewritten, narrowed), apply_round_bounds on the checked window given
-    as rewritten, the problem under (f', g') with narrowed out of focus.
     """
     level = _edge_ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
@@ -274,9 +265,4 @@ def solve_upper_minimizer(
         raise InternalCertificateFailure("chain member has an infinite boundary term") from None
     if dual != count:
         raise InternalCertificateFailure("dual chain value does not match count")
-    if beta is None:
-        return values, chain, count
-    f_prime, g_prime, narrowed = _round_bounds(problem, beta, level, window)
-    views = map(plain, window[:2])  # the window's ends are plain ints or infinities
-    rewritten = _rebounded(problem, f_prime, g_prime, problem.focus - narrowed, *views)
-    return values, chain, count, rewritten, narrowed
+    return values, chain, count

@@ -6,7 +6,10 @@ inputs) go through every public solver entry point.  The ``repr`` of
 each answer or error is fed to one SHA-256.  DIGEST was recorded from
 the solver whose inner loops still ran on ExtInt, and the plain-int
 loops give the same; a refactor that changes any box, round, flow,
-certificate or message fails here.
+certificate or message fails here.  A frozenset's repr iterates in the
+order the set was built, so a refactor that builds an equal set another
+way also changes DIGEST: build the sets as before, and do not
+regenerate the digest for it.
 
 The dump also counts ExtInt and ResidualArc constructions.
 EXTINT_CREATED is the count once the inner loops ran on plain ints, and

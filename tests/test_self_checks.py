@@ -5,7 +5,7 @@ no valid problem reaches it.  Each case below corrupts one collaborator
 of the checking routine with monkeypatch, or hands the routine a
 corrupted input, and expects the check's InternalCertificateFailure.
 Through the CLI such a failure exits 3 as an internal error, never 2 as
-bad input.  The reduction round's rewritten problem skips
+bad input.  narrow_box builds each round's rewritten problem without
 FlowProblem.__post_init__ but keeps its bound-pair check, which raises
 that check's ValueError; it too exits 3.
 """
@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from fairflow import POS_INF, certificates, cli, decmin, existence, upper_min
+from fairflow import NEG_INF, POS_INF, certificates, cli, decmin, existence, upper_min
 from fairflow.errors import InternalCertificateFailure
 from fairflow.jsonio import problem_to_json
 from fairflow.upper_min import Chain, apply_round_bounds, solve_upper_minimizer
@@ -34,18 +34,17 @@ def saturate():
 def zero_count(monkeypatch, asym):
     solve = decmin.solve_upper_minimizer
 
-    def no_count(*args, **kwargs):
-        flow, chain, _, *rewritten = solve(*args, **kwargs)
-        return (flow, chain, 0, *rewritten)
+    def no_count(*args):
+        flow, chain, _ = solve(*args)
+        return flow, chain, 0
 
     monkeypatch.setattr(decmin, "solve_upper_minimizer", no_count)
     return lambda: decmin.narrow_box(asym)
 
 
 def nothing_narrowed(monkeypatch, asym):
-    # the reduction round rewrites its bounds through the helper apply_round_bounds calls
-    bounds = upper_min._round_bounds
-    monkeypatch.setattr(upper_min, "_round_bounds", lambda *a: (*bounds(*a)[:2], frozenset()))
+    bounds = decmin.apply_round_bounds
+    monkeypatch.setattr(decmin, "apply_round_bounds", lambda *a: (*bounds(*a)[:2], frozenset()))
     return lambda: decmin.narrow_box(asym)
 
 
@@ -65,7 +64,16 @@ def inverted_window_end(monkeypatch, asym):
 
 
 def wide_box(monkeypatch, asym):
-    monkeypatch.setattr(decmin, "plain", lambda values: [None] * len(values))
+    # the narrowed edges leave the focus set, so only the box check reads
+    # their rewritten lower bounds
+    bounds = decmin.apply_round_bounds
+
+    def widened(*args):
+        f_prime, g_prime, narrowed = bounds(*args)
+        f_prime = tuple(NEG_INF if e in narrowed else f for e, f in enumerate(f_prime))
+        return f_prime, g_prime, narrowed
+
+    monkeypatch.setattr(decmin, "apply_round_bounds", widened)
     return lambda: decmin.narrow_box(asym)
 
 

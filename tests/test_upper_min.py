@@ -20,7 +20,7 @@ from fairflow import (
     solve_upper_minimizer,
     verify_O1_O5,
 )
-from fairflow import decmin, upper_min
+from fairflow import upper_min
 from fairflow._bf import bellman_ford
 from fairflow.core import imbalances
 from fairflow.errors import InternalCertificateFailure
@@ -131,6 +131,11 @@ class TestParallelCopy:
         ):
             with pytest.raises(TypeError, match="level edge id must be an int"):
                 call()
+
+    def test_takes_no_round(self, capped):
+        # a reduction round is narrow_box's: solve, then apply_round_bounds
+        with pytest.raises(TypeError, match="beta"):
+            solve_upper_minimizer(capped, {0}, beta=2)
 
 
 class TestSolve:
@@ -360,59 +365,3 @@ class TestVerify:
         assert g_prime == (POS_INF, NEG_INF, 4)
         assert {type(b) for b in f_prime + g_prime} == {ExtInt}
         assert narrowed == frozenset()
-
-
-def all_focus_problem(rng, m, width):
-    """A feasible instance with every edge in focus and finite boxes up to
-    width wide; supplies are the imbalances of a point of the box."""
-    n = rng.randint(m // 6, m // 3)
-    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
-    lower = [rng.randint(-5, 5) for _ in range(m)]
-    upper = [lo + rng.randint(0, width) for lo in lower]
-    point = [rng.randint(lower[e], upper[e]) for e in range(m)]
-    graph = Digraph(n, edges)
-    return FlowProblem(
-        graph, tuple(lower), tuple(upper), tuple(imbalances(graph, point)), frozenset(range(m))
-    )
-
-
-class TestFusedRound:
-    """narrow_box's rounds call solve_upper_minimizer with beta, which checks
-    the solve and rewrites the bounds from one window.  The public path must
-    agree on every round: a cold solve on the round's clamped problem, then
-    apply_round_bounds, verify_O1_O5 and chain_dual_value."""
-
-    @pytest.mark.parametrize("m", [50, 100, 200, 400])
-    @pytest.mark.parametrize("width", [20, 1000])
-    def test_public_path_matches_every_round(self, monkeypatch, m, width):
-        problem = all_focus_problem(random.Random(f"fused:{m}:{width}"), m, width)
-        solve, fused = decmin.solve_upper_minimizer, []
-
-        def recorded(clamped, level, start, *, beta):
-            result = solve(clamped, level, start, beta=beta)
-            fused.append((clamped, beta, result))
-            return result
-
-        monkeypatch.setattr(decmin, "solve_upper_minimizer", recorded)
-        _, rounds = narrow_box(problem)
-        chained = [rnd for rnd in rounds if rnd.chain is not None]
-        assert len(fused) == len(chained) >= 2
-        lower, focus = problem.lower, problem.focus
-        for rnd, (fused_clamped, beta, (_, chain, count, rewritten, narrowed)) in zip(
-            chained, fused
-        ):
-            assert beta == rnd.beta
-            clamped = problem.with_bounds(lower, rnd.g_capped, focus - set(rnd.removed_tight))
-            assert fused_clamped == clamped
-            assert (fused_clamped._lo, fused_clamped._hi) == (clamped._lo, clamped._hi)
-            flow, cold_chain, cold_count = solve_upper_minimizer(clamped, rnd.level_set)
-            assert (cold_chain, cold_count) == (chain, count) and chain == rnd.chain
-            bounds = apply_round_bounds(clamped, rnd.beta, rnd.level_set, cold_chain)
-            assert bounds == (rnd.f_prime, rnd.g_prime, rnd.narrowed) == (
-                rewritten.lower, rewritten.upper, narrowed
-            )
-            assert verify_O1_O5(clamped, rnd.level_set, flow, cold_chain) == []
-            assert chain_dual_value(clamped, rnd.level_set, cold_chain) == cold_count
-            public = clamped.with_bounds(*bounds[:2], rnd.focus_next)
-            assert rewritten == public and (rewritten._lo, rewritten._hi) == (public._lo, public._hi)
-            lower, focus = rnd.f_prime, rnd.focus_next
