@@ -13,9 +13,15 @@ edge.  The pair is produced by a reduction loop.  Each round:
    entering the chain become width-<=-1 and leave the focus set.
 
 The focus set strictly shrinks every round, so at most |focus| rounds
-run.  Flows inside the final box are then ordinary feasibility /
-min-cost queries: one for a fair flow, one for the cheapest fair flow,
-and the increasing-maximal variant is the mirror image under negation.
+run, and at most n - 1 of them have a chain: an edge whose ends a chain
+puts at different depths is pinned by (O1)/(O2), then stripped as
+tight, or narrowed by (O3)/(O4), so each focus edge left joins nodes of
+equal depth in every chain so far, and the edge a chain round narrows
+splits such a class of nodes.  At most one terminal round, without a
+chain, follows.  Flows inside the final box are then ordinary
+feasibility / min-cost queries: one for a fair flow, one for the
+cheapest fair flow, and the increasing-maximal variant is the mirror
+image under negation.
 """
 
 from __future__ import annotations
@@ -89,7 +95,8 @@ def narrow_box(problem: FlowProblem) -> tuple[NarrowBox, tuple[ReductionRound, .
         # every focus edge turned tight (beta None): a last round, no chain
         current, chain, narrowed = clamped, None, frozenset()
         if focus:
-            flow, chain, count = solve_upper_minimizer(clamped, level_set, flow)
+            # the last Newton probe's flow is feasible for clamped: start there
+            flow, chain, count = solve_upper_minimizer(clamped, level_set, beta_result.flow)
             if count == 0:
                 raise InternalCertificateFailure(
                     "no flow reaches the cap even though the cap is minimal"

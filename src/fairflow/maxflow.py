@@ -12,8 +12,9 @@ graph and supplies under its own lower bounds and a given upper vector.
 * most_violating_set: the node set maximizing the Hoffman deficiency
   supply(Z) - in_upper(Z) + out_lower(Z), feasible or not.
 * nd_cut_subroutine: minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z),
-  the oracle of the Newton driver.  This is minus the deficiency under
-  the bounds (lower, g' + mu on L).
+  minus the deficiency under the bounds (lower, g' + mu on L): the
+  Newton probe answered cold, the tests' reference.  newton continues
+  one network instead (below); nothing in the package calls it.
 
 upper_min.solve_upper_minimizer runs its primal-dual phases on this
 network too, one max_flow each over the arcs of zero reduced cost; all
@@ -34,6 +35,8 @@ recounted over the boundary.  None of this depends on b: every start
 gives the same minimizing sets, source-reachable set and D - value.
 Only the flow found, and how many augmenting paths it takes, change.
 A start that is already nearly feasible leaves a small D to route.
+Raising an upper bound raises only arc 2e, upper - b, and keeps D and
+the flow pushed so far: newton's probes continue a max flow that way.
 
 Residual capacities are plain ints, and networks are built from plain
 bound views (extint.plain, None for an infinity), so ExtInt stays in

@@ -8,13 +8,14 @@ focus edges' upper bounds at beta keeps the problem feasible.
 
 The driver only needs an argmax oracle for p(X) - mu*b(X); here that
 oracle is one min-cut probe, which returns X with its score mu*b(X) -
-p(X), so p = mu*b - score.  The probe at mu = 0 is the failed drop's
-own feasibility network, so that drop's certificate answers it.  Every
-other probe starts from the latest feasible flow the cascade holds, so
-it routes only that flow's excess over the raised caps.  The
-iteration count is bounded by the largest b-value: the tentative mu
-values strictly increase while the b-values of the maximizers strictly
-decrease.
+p(X), so p = mu*b - score.  All probes of a cap continue the failed
+drop's max flow: mu = 0 reads its cut, and each later probe first
+raises the level edges' arcs by the rise in mu (Gallo, Grigoriadis &
+Tarjan, SIAM J. Comput. 18(1), 1989; maxflow module docstring).  The
+last probe's flow, feasible under the cap, is BetaResult.flow.  The
+iteration count is bounded by |L|, the largest b-value: the tentative
+mu values strictly increase while the b-values of the maximizers
+strictly decrease.
 """
 
 from __future__ import annotations
@@ -22,14 +23,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .core import FlowProblem, Record, check_flow
-from .errors import AssumptionViolatedError
+from .errors import AssumptionViolatedError, InternalCertificateFailure
 from .extint import ExtInt
-from .maxflow import (
-    CutCertificate,
-    find_feasible_mflow,
-    nd_cut_subroutine,
-    require_feasible,
-)
+# find_feasible_mflow stays bound here for bench/spans.py's tracer to wrap
+from .maxflow import _feasibility_network, find_feasible_mflow, require_feasible
 
 #: argmax oracle: mu -> (maximizer X of p(X) - mu*b(X), p(X), b(X))
 ArgmaxOracle = Callable[[int], tuple[frozenset[int], int, int]]
@@ -93,7 +90,8 @@ class BetaResult(Record):
     the focus edges now sitting exactly at beta; removed_tight_edges
     lists focus edges that became fixed (lower == upper) on the way and
     left the focus set.  beta is None only when every focus edge became
-    tight, leaving nothing to cap.
+    tight, leaving nothing to cap.  compute_beta also sets the attribute
+    ``flow``, not a field: a flow feasible under clamped_upper.
     """
 
     beta: int | None
@@ -115,8 +113,9 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
     drop to the next candidate level max(top lower bound, second upper
     value) feasibly, clamp and continue (newly tight edges leave the
     focus set); when the drop fails, the exact cap is recovered by the
-    Newton driver over min-cut probes, each started from the last
-    feasible flow: the last accepted drop's, or the entry flow.
+    Newton driver over min-cut probes that continue the failed drop's
+    max flow (module docstring).  The result's ``flow`` is the last
+    probe's flow, or without a cap the last feasible flow of the cascade.
     """
     if not problem.finite_on_focus():
         raise ValueError("compute_beta requires finite bounds on the focus set")
@@ -128,7 +127,7 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
             raise ValueError(f"flow is not feasible: {violation.message}")
     # the level arithmetic reads plain ints, finite on the focus set
     lo, hi = problem._lo, problem._hi
-    upper = list(problem.upper)
+    n, upper = problem.node_count, list(problem.upper)
     focus = set(problem.focus)
     removed: list[int] = []
 
@@ -149,28 +148,46 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         cap = ExtInt(beta1)
         dropped = [cap if e in level_set else b for e, b in enumerate(upper)]
         drop = problem.with_bounds(upper=dropped)
-        cut = find_feasible_mflow(drop)
-        if not isinstance(cut, CutCertificate):
-            upper, hi, flow = dropped, drop._hi, cut
+        net, base, nodes, deficiency = _feasibility_network(drop, drop._hi)
+        if deficiency == 0:
+            upper, hi, flow = dropped, drop._hi, net.values(base)
             strip_tight()
             continue
 
         # The drop is infeasible: find the smallest good raise mu over the
-        # dropped bounds; beta = beta1 + mu.
+        # dropped bounds, on its network; beta = beta1 + mu.
         level_ends = [problem.graph.edges[e] for e in level]
+        probed = -1  # the mu of the last probe; the network stands at max(probed, 0)
 
         def oracle(mu: int) -> tuple[frozenset[int], int, int]:
-            if mu == 0:  # the network the failed drop has just solved
-                nodes, value = cut.nodes, -cut.deficiency
-            else:
-                nodes, value = nd_cut_subroutine(problem, level_set, drop._hi, mu, start=flow)
+            nonlocal probed, nodes, deficiency
+            if mu <= probed:
+                raise InternalCertificateFailure(f"Newton probe mu {mu} does not rise")
+            if mu > 0:
+                rise = mu - max(probed, 0)
+                for e in level:
+                    net.cap[2 * e] += rise
+                    net.res[2 * e] += rise
+                value, levels = net.max_flow(n, n + 1)
+                nodes = frozenset(v for v in range(n) if levels[v] < 0)
+                deficiency -= value
+            probed = mu
             b = sum(1 for u, v in level_ends if v in nodes and u not in nodes)
-            return nodes, mu * b - value, b
+            return nodes, mu * b + deficiency, b
 
-        mu_min, trace = nd_min_good_mu(oracle, m_bound=problem.edge_count)
+        mu_min, trace = nd_min_good_mu(oracle, m_bound=len(level))
+        if probed != mu_min or deficiency:
+            raise InternalCertificateFailure(f"the probed network is infeasible at mu {mu_min}")
         beta = beta1 + mu_min
         cap = ExtInt(beta)
         for e in level:
             upper[e] = cap
-        return BetaResult(beta, tuple(upper), level_set, tuple(removed), trace)
-    return BetaResult(None, tuple(upper), frozenset(), tuple(removed), None)
+        result = BetaResult(beta, tuple(upper), level_set, tuple(removed), trace)
+        return _with_flow(result, net.values(base))
+    return _with_flow(BetaResult(None, tuple(upper), frozenset(), tuple(removed), None), flow)
+
+
+def _with_flow(result: BetaResult, flow: Sequence[int]) -> BetaResult:
+    """The result with attribute ``flow``, not a field: outside repr, ==, hash and replace."""
+    object.__setattr__(result, "flow", tuple(flow))
+    return result

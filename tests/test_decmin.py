@@ -173,7 +173,10 @@ def test_reduction_loop_matches_the_oracle(problem):
     )
     profile, attaining = oracle_decmin(window)
     assert focus_profile(problem, fair) == profile
-    box, _ = narrow_box(problem)
+    box, rounds = narrow_box(problem)
+    # the round bound of decmin's docstring
+    assert len(rounds) <= min(len(problem.focus), problem.node_count)
+    assert sum(1 for rnd in rounds if rnd.chain is not None) <= problem.node_count - 1
     in_window = window.with_bounds(map(max, box.f_star, window.lower), map(min, box.g_star, window.upper))
     assert set(enumerate_flows(in_window)) == set(attaining)
 

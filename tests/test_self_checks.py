@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from fairflow import NEG_INF, POS_INF, certificates, cli, decmin, existence, upper_min
+from fairflow import NEG_INF, POS_INF, certificates, cli, decmin, existence, newton, upper_min
 from fairflow.errors import InternalCertificateFailure
 from fairflow.jsonio import problem_to_json
 from fairflow.upper_min import Chain, apply_round_bounds, solve_upper_minimizer
@@ -144,6 +144,26 @@ def dual_value_mismatch(monkeypatch, asym):
     return saturate
 
 
+def repeated_probe(monkeypatch, asym):
+    # asym's drop of edge 0 to 1 fails; a driver that probes mu = 1 twice
+    def driver(oracle, m_bound):
+        for mu in (0, 1, 1):
+            oracle(mu)
+
+    monkeypatch.setattr(newton, "nd_min_good_mu", driver)
+    return lambda: newton.compute_beta(asym)
+
+
+def infeasible_at_mu_min(monkeypatch, asym):
+    # a driver that calls mu = 0 good, although the failed drop leaves deficiency 1
+    def driver(oracle, m_bound):
+        oracle(0)
+        return 0, newton.NDTrace((), 0)
+
+    monkeypatch.setattr(newton, "nd_min_good_mu", driver)
+    return lambda: newton.compute_beta(asym)
+
+
 CASES = [
     (zero_count, "no flow reaches the cap"),
     (nothing_narrowed, "round narrowed no edge"),
@@ -158,6 +178,8 @@ CASES = [
     (full_chain_member, "chain member is not a proper subset"),
     (infinite_boundary_term, "chain member has an infinite boundary term"),
     (dual_value_mismatch, "dual chain value does not match count"),
+    (repeated_probe, "Newton probe mu 1 does not rise"),
+    (infeasible_at_mu_min, "the probed network is infeasible at mu 0"),
 ]
 
 

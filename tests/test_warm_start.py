@@ -1,7 +1,9 @@
 """Warm starts change how a cut or a cap is found, never what is found.
 
 Instances have 50 to 400 edges, beyond the brute-force oracle's reach;
-the reference is the same call started cold.
+the reference is the same call started cold.  compute_beta's Newton
+probes continue one network, so each is compared with a cold
+nd_cut_subroutine call.
 """
 
 import random
@@ -12,8 +14,10 @@ from fairflow import (
     Digraph,
     ExtInt,
     FlowProblem,
+    NDIteration,
     NEG_INF,
     POS_INF,
+    check_flow,
     compute_beta,
     decmin_flow,
     min_cost_mflow,
@@ -149,3 +153,39 @@ def test_compute_beta_rejects_a_flow_that_is_not_feasible():
             with pytest.raises(ValueError, match=text) as caught:
                 compute_beta(problem, flow=bad)
             assert type(caught.value) is ValueError
+
+
+def cold_iteration(problem, result, mu):
+    """The NDIteration a cold probe at mu gives, on the failed drop's bounds:
+    the cap's level edges at beta - mu_min, every other edge at its clamped upper."""
+    level = result.saturated_level_set
+    cap = ExtInt(result.beta - result.nd_trace.mu_min)
+    g_prime = [cap if e in level else u for e, u in enumerate(result.clamped_upper)]
+    nodes, value = nd_cut_subroutine(problem, level, g_prime, mu)
+    ends = [problem.graph.edges[e] for e in level]
+    b = sum(1 for u, v in ends if v in nodes and u not in nodes)
+    return NDIteration(mu, nodes, mu * b - value, b)
+
+
+def test_newton_probes_match_cold_probes_and_leave_a_feasible_flow():
+    rng = random.Random(839)
+    probes = terminal = 0
+    for m in SIZES:
+        for focus_share, width in ((0.3, 6), (1.0, 20), (1.0, 100)):
+            problem = scale_problem(rng, m, focus_share, width, inf_share=0.1)
+            states = round_states(problem) if m <= 200 else [problem]
+            for state in states:
+                result = compute_beta(state)
+                clamped = state.with_bounds(upper=result.clamped_upper)
+                assert check_flow(clamped, result.flow) is None
+                if result.beta is None:
+                    terminal += 1
+                    continue
+                trace = result.nd_trace
+                for it in trace.iterations:
+                    assert cold_iteration(state, result, it.mu) == it
+                    probes += it.mu > 0
+                # the last probe, at mu_min, finds no deficiency
+                last = cold_iteration(state, result, trace.mu_min)
+                assert last.p_value <= last.mu * last.b_value
+    assert probes > 0 and terminal > 0

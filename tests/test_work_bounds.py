@@ -1,8 +1,9 @@
 """The work bounds of the README's scope notes, counted on real runs.
 
-The fair-flow path is strongly polynomial: narrow_box runs at most |F|
-rounds, each compute_beta makes at most 2|F| cascade drops and at most
-|L| Newton iterations, and each upper-minimizer run takes at most n
+The fair-flow path is strongly polynomial: narrow_box runs at most n - 1
+rounds with a chain plus at most one terminal round, and at most |F| in
+all, each compute_beta makes at most 2|F| cascade drops and at most |L|
+Newton iterations, and each upper-minimizer run takes at most n
 primal-dual phases, one max flow each.  Drops can pass |F|: an accepted
 drop either merges the top upper value into the next one or makes an
 edge tight, and each kind can happen up to |F| times.  The counts must
@@ -60,7 +61,10 @@ def counted_narrow_box(monkeypatch, problem):
 
         return wrapper
 
-    monkeypatch.setattr(newton, "find_feasible_mflow", counting(drops, newton.find_feasible_mflow))
+    # compute_beta solves each drop through this binding
+    monkeypatch.setattr(
+        newton, "_feasibility_network", counting(drops, newton._feasibility_network)
+    )
     monkeypatch.setattr(maxflow._Residual, "max_flow", counting(phases, maxflow._Residual.max_flow))
     monkeypatch.setattr(
         decmin, "compute_beta",
@@ -76,20 +80,23 @@ def counted_narrow_box(monkeypatch, problem):
 
 @pytest.mark.parametrize("width", (10**3, 10**12))
 def test_work_stays_within_the_stated_bounds(monkeypatch, width):
-    total_rounds = 0
+    total_rounds = total_drops = 0
     for seed in range(18):
         problem = wide_problem(seed, width)
         rounds, betas, minimizers = counted_narrow_box(monkeypatch, problem)
         monkeypatch.undo()
-        assert len(rounds) <= len(problem.focus)
+        assert len(rounds) <= min(len(problem.focus), problem.node_count)
+        assert sum(1 for rnd in rounds if rnd.chain is not None) <= problem.node_count - 1
+        assert sum(1 for rnd in rounds if rnd.chain is None) <= 1
         assert len(betas) == len(rounds) and minimizers
         for drops, focus_size in betas:
             assert drops <= 2 * focus_size
+            total_drops += drops
         for rnd in rounds:
             if rnd.nd_trace is not None:
                 assert len(rnd.nd_trace.iterations) <= len(rnd.level_set)
         for max_flows, n in minimizers:
             assert 1 <= max_flows <= n
         total_rounds += len(rounds)
-    # the counts are not vacuous: the family runs many rounds at either width
-    assert total_rounds >= 100
+    # the counts are not vacuous: the family runs many rounds and drops at either width
+    assert total_rounds >= 100 and total_drops > 0
