@@ -210,7 +210,11 @@ def _first_infeasible_arc(
 def potential_is_feasible(
     aux: CostedResidual, cost: LevelCost, potential: PotentialVector
 ) -> bool:
-    """Arc-by-arc lexicographic feasibility of a potential-vector."""
+    """Arc-by-arc lexicographic feasibility of a potential-vector; False
+    unless it has the cost's dimension and one row of that length per node."""
+    k, rows = cost.dimension, potential.values
+    if potential.dimension != k or len(rows) != aux.node_count or any(len(r) != k for r in rows):
+        return False
     return _first_infeasible_arc(aux, cost, potential) is None
 
 

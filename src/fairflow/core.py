@@ -95,12 +95,12 @@ def _ints(values: Iterable, field: str) -> tuple[int, ...]:
     return values
 
 
-def _edge_ids(ids: Iterable, edge_count: int, field: str) -> frozenset[int]:
-    """The ids as a set, each required to be an int (bools rejected) in range(edge_count)."""
+def _ids(ids: Iterable, count: int, field: str) -> frozenset[int]:
+    """The ids as a set, each required to be an int (bools rejected) in range(count)."""
     ids = tuple(ids)  # checked before a set can merge 0.0 or True into an int
-    for e in ids:
-        if _int(e, field) not in range(edge_count):
-            raise ValueError(f"{field} {e!r} out of range")
+    for i in ids:
+        if _int(i, field) not in range(count):
+            raise ValueError(f"{field} {i!r} out of range")
     return frozenset(ids)
 
 

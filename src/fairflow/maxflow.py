@@ -5,7 +5,8 @@ labels the nodes by breadth-first distance from the source and saturates
 every shortest augmenting path, so a solve takes at most n - 1 phases of
 O(nm) each, O(n^2 m) in all, strongly polynomial.  Besides max_flow, one
 network serves three reductions: the feasibility network of a problem's
-graph and supplies under its own lower bounds and a given upper vector.
+graph and supplies under its own lower bounds and a given plain upper
+list, _feasibility_network(problem, upper).
 
 * find_feasible_mflow: an integral feasible flow, or a node set
   certifying infeasibility.
@@ -16,13 +17,14 @@ graph and supplies under its own lower bounds and a given upper vector.
   Newton probe answered cold, the tests' reference.  newton continues
   one network instead (below); nothing in the package calls it.
 
-upper_min.solve_upper_minimizer runs its primal-dual phases on this
-network too, one max_flow each over the arcs of zero reduced cost; all
-phases together route at most D, so the surrogate below stays exact.
+upper_min.solve_upper_minimizer runs its primal-dual phases on the same
+_super_network, one max_flow each over the arcs of zero reduced cost;
+all phases together route at most D, so the surrogate below stays
+exact.  It alone passes a start.
 
 Why one network answers all three.  Edge e starts at a finite point b
-of its bounds: a caller's start value clamped into the bounds, or else
-the lower bound, min(0, upper) or 0, whichever is finite first.  Node
+of its bounds: the lower bound, min(0, upper) or 0, whichever is finite
+first, or a given start value clamped into the bounds.  Node
 excesses supply - in_b + out_b become sink arcs (positive, summing to
 D) or source arcs (negative).  The cut with sink side Z then has
 capacity D - supply(Z) + in_upper(Z) - out_lower(Z) = D - deficiency(Z).
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .core import Digraph, FlowProblem, FlowValues, Record, _deficiency, _edge_ids, _int, _ints
+from .core import Digraph, FlowProblem, FlowValues, Record, _deficiency, _ids, _int
 from .errors import InfeasibleError
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint, plain
 
@@ -73,7 +75,8 @@ class CutCertificate(Record):
 
 
 def hoffman_deficiency(problem: FlowProblem, nodes: Iterable[int]) -> ExtInt:
-    """supply(Z) - in_upper(Z) + out_lower(Z) for a node set Z."""
+    """supply(Z) - in_upper(Z) + out_lower(Z) for a node set Z of ids in range(node_count)."""
+    nodes = _ids(nodes, problem.node_count, "node id")
     return _deficiency(problem, problem._lo, problem._hi, nodes)
 
 
@@ -216,13 +219,6 @@ def max_flow(
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _start(start: Sequence[int] | None, edge_count: int) -> tuple[int, ...] | None:
-    """A caller's start flow: None, or edge_count ints (ValueError, TypeError)."""
-    if start is not None and len(start) != edge_count:
-        raise ValueError("start must have one entry per edge")
-    return None if start is None else _ints(start, "start")
-
-
 def _super_network(
     n: int, edges: Sequence, supply: Sequence[int], lower: Sequence, upper: Sequence, start=None
 ) -> tuple[_Residual, list[int], int]:
@@ -258,18 +254,16 @@ def _super_network(
     return net, base, demand_total
 
 
-def _feasibility_network(problem: FlowProblem, upper: Sequence, start=None):
+def _feasibility_network(problem: FlowProblem, upper: Sequence):
     """Max flow on the _super_network of the problem's lower bounds and plain ``upper``.
 
     Returns (net, base, sink_side, deficiency).  sink_side is the
     complement of the source-reachable set, and its deficiency is
     demand_total - value (module docstring): zero exactly when the flow
-    is feasible, and the same for every start.
+    is feasible.
     """
     n = problem.node_count
-    net, base, demand = _super_network(
-        n, problem.graph.edges, problem.supply, problem._lo, upper, start
-    )
+    net, base, demand = _super_network(n, problem.graph.edges, problem.supply, problem._lo, upper)
     value, level = net.max_flow(n, n + 1)
     return net, base, frozenset(v for v in range(n) if level[v] < 0), demand - value
 
@@ -309,11 +303,7 @@ def require_feasible(problem: FlowProblem) -> FlowValues:
 
 
 def nd_cut_subroutine(
-    problem: FlowProblem,
-    level_edges: Iterable[int],
-    g_prime: Sequence,
-    mu: int,
-    start: Sequence[int] | None = None,
+    problem: FlowProblem, level_edges: Iterable[int], g_prime: Sequence, mu: int
 ) -> tuple[frozenset[int], int]:
     """Minimize mu*in_L(Z) + in_g'(Z) - out_f(Z) - supply(Z) over node sets.
 
@@ -322,18 +312,14 @@ def nd_cut_subroutine(
     g' > -inf (a -inf entry would make the objective unbounded below).
     The empty set scores 0, so the minimum is always <= 0.  Solved on
     the feasibility network under (lower, g' + mu on L); the returned set
-    is the union of all minimizers (module docstring).  The network
-    starts at ``start``, one int per edge clamped into those bounds,
-    when given: a flow feasible under bounds close to these leaves
-    little to route, and the answer is the same for every start.
+    is the union of all minimizers (module docstring).
     """
     if _int(mu, "mu") < 0:
         raise ValueError("mu must be non-negative")
     m = problem.edge_count
     if len(g_prime) != m:
         raise ValueError("g_prime must have one entry per edge")
-    level = _edge_ids(level_edges, m, "level edge id")
-    start = _start(start, m)
+    level = _ids(level_edges, m, "level edge id")
     view = plain(g_prime)
     for e, (g, lo) in enumerate(zip(view, problem._lo)):
         # None is -inf, refused, or +inf, which dominates every lower bound
@@ -342,5 +328,5 @@ def nd_cut_subroutine(
         if None not in (g, lo) and g < lo:
             raise ValueError(f"g_prime must dominate lower (edge {e})")
     raised = [g + mu if g is not None and e in level else g for e, g in enumerate(view)]
-    *_, nodes, deficiency = _feasibility_network(problem, raised, start)
+    *_, nodes, deficiency = _feasibility_network(problem, raised)
     return nodes, -deficiency

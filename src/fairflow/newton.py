@@ -8,14 +8,22 @@ focus edges' upper bounds at beta keeps the problem feasible.
 
 The driver only needs an argmax oracle for p(X) - mu*b(X); here that
 oracle is one min-cut probe, which returns X with its score mu*b(X) -
-p(X), so p = mu*b - score.  All probes of a cap continue the failed
-drop's max flow: mu = 0 reads its cut, and each later probe first
-raises the level edges' arcs by the rise in mu (Gallo, Grigoriadis &
-Tarjan, SIAM J. Comput. 18(1), 1989; maxflow module docstring).  The
-last probe's flow, feasible under the cap, is BetaResult.flow.  The
-iteration count is bounded by |L|, the largest b-value: the tentative
-mu values strictly increase while the b-values of the maximizers
-strictly decrease.
+p(X), so p = mu*b - score.
+
+compute_beta carries one plain-int upper list through the cascade and
+the Newton stage; each drop is the feasibility network of the problem
+under that list with the level edges lowered to beta1, so no
+FlowProblem is built.  beta1 is at least every focus lower bound, so
+the drop's bounds are valid; narrow_box still checks the clamped ones.
+clamped_upper becomes ExtInt once, at the return.
+
+All probes of a cap continue the failed drop's max flow: mu = 0 reads
+its cut, and each later probe first raises the level edges' arcs by the
+rise in mu (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 18(1), 1989;
+maxflow module docstring).  The last probe's flow, feasible under the
+cap, is BetaResult.flow.  The iteration count is bounded by |L|, the
+largest b-value: the tentative mu values strictly increase while the
+b-values of the maximizers strictly decrease.
 """
 
 from __future__ import annotations
@@ -125,19 +133,19 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         violation = check_flow(problem, flow)
         if violation is not None:
             raise ValueError(f"flow is not feasible: {violation.message}")
-    # the level arithmetic reads plain ints, finite on the focus set
-    lo, hi = problem._lo, problem._hi
-    n, upper = problem.node_count, list(problem.upper)
-    focus = set(problem.focus)
+    # one plain-int upper list, finite on the focus set, through the cascade
+    lo, hi = problem._lo, list(problem._hi)
+    n, focus = problem.node_count, set(problem.focus)
     removed: list[int] = []
+    beta, saturated, trace = None, frozenset(), None  # unless a drop fails
 
-    def strip_tight() -> None:
-        for e in sorted(focus):
+    def strip_tight(edges: Sequence[int]) -> None:
+        for e in edges:  # in id order
             if lo[e] == hi[e]:
                 focus.discard(e)
                 removed.append(e)
 
-    strip_tight()
+    strip_tight(sorted(focus))
     while focus:
         g_values = sorted({hi[e] for e in focus}, reverse=True)
         top = g_values[0]
@@ -145,13 +153,11 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         level = sorted(e for e in focus if hi[e] == top)
         level_set = frozenset(level)
         beta1 = max(f_top, g_values[1]) if len(g_values) > 1 else f_top
-        cap = ExtInt(beta1)
-        dropped = [cap if e in level_set else b for e, b in enumerate(upper)]
-        drop = problem.with_bounds(upper=dropped)
-        net, base, nodes, deficiency = _feasibility_network(drop, drop._hi)
+        dropped = [beta1 if e in level_set else h for e, h in enumerate(hi)]
+        net, base, nodes, deficiency = _feasibility_network(problem, dropped)
         if deficiency == 0:
-            upper, hi, flow = dropped, drop._hi, net.values(base)
-            strip_tight()
+            hi, flow = dropped, net.values(base)
+            strip_tight(level)  # only the level edges changed
             continue
 
         # The drop is infeasible: find the smallest good raise mu over the
@@ -178,16 +184,13 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         mu_min, trace = nd_min_good_mu(oracle, m_bound=len(level))
         if probed != mu_min or deficiency:
             raise InternalCertificateFailure(f"the probed network is infeasible at mu {mu_min}")
-        beta = beta1 + mu_min
-        cap = ExtInt(beta)
+        beta, saturated, flow = beta1 + mu_min, level_set, net.values(base)
         for e in level:
-            upper[e] = cap
-        result = BetaResult(beta, tuple(upper), level_set, tuple(removed), trace)
-        return _with_flow(result, net.values(base))
-    return _with_flow(BetaResult(None, tuple(upper), frozenset(), tuple(removed), None), flow)
-
-
-def _with_flow(result: BetaResult, flow: Sequence[int]) -> BetaResult:
-    """The result with attribute ``flow``, not a field: outside repr, ==, hash and replace."""
-    object.__setattr__(result, "flow", tuple(flow))
+            hi[e] = beta
+        break
+    # ExtInt once: the problem's objects where unchanged, one per new value
+    made = {h: ExtInt(h) for h in {h for h, old in zip(hi, problem._hi) if h != old}}
+    upper = tuple(g if h == old else made[h] for g, h, old in zip(problem.upper, hi, problem._hi))
+    result = BetaResult(beta, upper, saturated, tuple(removed), trace)
+    object.__setattr__(result, "flow", tuple(flow))  # not a field: outside repr, ==, hash, replace
     return result

@@ -44,10 +44,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, Record, _edge_ids
+from .core import FlowProblem, FlowValues, Record, _ids, _ints
 from .errors import InternalCertificateFailure
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
-from .maxflow import _start, _super_network, hoffman_deficiency, require_feasible
+from .maxflow import _super_network, hoffman_deficiency, require_feasible
 
 
 class Chain(Record):
@@ -136,7 +136,7 @@ def verify_O1_O5(
     gives it; one message per edge outside, starting with the label of
     the criterion it violates.
     """
-    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    level = _ids(level_edges, problem.edge_count, "level edge id")
     return _outside(*_chain_window(problem, level, chain), values)
 
 
@@ -152,7 +152,7 @@ def apply_round_bounds(
     (f', g', narrowed), narrowed holding the cap-level edges entering a
     member.
     """
-    level_set = _edge_ids(level_set, problem.edge_count, "level edge id")
+    level_set = _ids(level_set, problem.edge_count, "level edge id")
     for e in sorted(level_set):
         if problem._hi[e] != beta:
             raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
@@ -172,7 +172,7 @@ def _dual_value(problem: FlowProblem, criteria: list[str | None], chain: Chain) 
 
 def chain_dual_value(problem: FlowProblem, level_edges: Iterable[int], chain: Chain) -> int:
     """Dual objective: entered L-edges minus the chain's slack terms."""
-    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    level = _ids(level_edges, problem.edge_count, "level edge id")
     return _dual_value(problem, _chain_window(problem, level, chain)[2], chain)
 
 
@@ -194,7 +194,7 @@ def solve_upper_minimizer(
     InfeasibleError, with require_feasible's certificate, when the
     problem has no feasible flow at all.
     """
-    level = _edge_ids(level_edges, problem.edge_count, "level edge id")
+    level = _ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
     lower, upper = problem._lo, problem._hi
     for e in copied:
@@ -203,12 +203,14 @@ def solve_upper_minimizer(
         if lower[e] == upper[e]:
             raise ValueError(f"edge {e} is tight; remove it from the count set")
     n, m, k, edges = problem.node_count, problem.edge_count, len(copied), problem.graph.edges
-    start = _start(start, m)
+    if start is not None:
+        if len(start) != m:
+            raise ValueError("start must have one entry per edge")
+        start = _ints(start, "start") + (0,) * k  # the copies start at zero
     upper = [hi - 1 if e in level else hi for e, hi in enumerate(upper)]
     net, base, demand = _super_network(
         n, edges + tuple(edges[e] for e in copied), problem.supply,
-        lower + [0] * k, upper + [1] * k,
-        None if start is None else start + (0,) * k,
+        lower + [0] * k, upper + [1] * k, start,
     )
     arcs, head, res = range(2 * (m + k)), net.head, net.res  # the real arcs
     tail = [head[a ^ 1] for a in arcs]

@@ -214,6 +214,25 @@ class TestPotentialVector:
             assert not potential_is_feasible(aux, cost, perturbed)
             rejected += 1
 
+    def test_wrong_shape_rejected(self):
+        # two parallel focus edges: (4, 0) is not fair, (2, 2) is
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4], focus=[0, 1])
+        aux, cost = build_level_cost(problem, (4, 0))
+        k = cost.dimension
+        assert k == 2 and not is_decmin(problem, (4, 0)).decmin
+        for dimension, values in (
+            (0, ((), ())),  # no components: no arc vector compares below ()
+            (k, ((), ())),  # short rows
+            (k, ((0, 0),)),  # one row for two nodes
+            (k, ((0, 0, 0), (0, 0, 0))),  # long rows
+        ):
+            assert not potential_is_feasible(aux, cost, PotentialVector(dimension, values))
+        aux, cost = build_level_cost(problem, (2, 2))
+        fair = build_potential_vector(aux, cost)
+        assert potential_is_feasible(aux, cost, fair)
+        padded = fair.values + fair.values[:1]
+        assert not potential_is_feasible(aux, cost, PotentialVector(fair.dimension, padded))
+
 
 class TestIsDecmin:
     def test_asym_verdicts(self, asym):

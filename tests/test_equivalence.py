@@ -12,10 +12,11 @@ way also changes DIGEST: build the sets as before, and do not
 regenerate the digest for it.
 
 The dump also counts ExtInt and ResidualArc constructions.
-EXTINT_CREATED is the count once the inner loops ran on plain ints, and
-RESIDUAL_ARCS_CREATED the count once min-cost cycle canceling ran on
-plain residual capacities; a change that brings either object back
-into a loop raises its count and fails a ceiling test.
+EXTINT_CREATED is the count once the inner loops, and compute_beta's
+cascade of drops, ran on plain ints, and RESIDUAL_ARCS_CREATED the
+count once min-cost cycle canceling ran on plain residual capacities;
+a change that brings either object back into a loop raises its count
+and fails a ceiling test.
 
 Regenerate them only for an intended change of outputs or counts:
 ``PYTHONPATH=src python tests/test_equivalence.py``.
@@ -48,7 +49,7 @@ from fairflow.core import imbalances
 
 INSTANCES = 400
 DIGEST = "2a290c90d2c58fb517b2c5ddf20a9ab06fdfdb8d28ec20405d949851b9134c82"
-EXTINT_CREATED = 60_054
+EXTINT_CREATED = 50_220
 RESIDUAL_ARCS_CREATED = 17_348
 
 

@@ -230,6 +230,16 @@ class TestHoffmanDeficiency:
         assert hoffman_deficiency(problem, {0, 1}).is_finite
         assert hoffman_deficiency(problem, {2}) == 0
 
+    def test_rejects_node_ids_out_of_range(self):
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4])
+        assert hoffman_deficiency(problem, {1}) == 4 - 8  # supply 4, both edges enter
+        for nodes, bad in (({-1}, -1), ({2}, 2), ({0, 5}, 5)):
+            with pytest.raises(ValueError, match=rf"node id {bad} out of range"):
+                hoffman_deficiency(problem, nodes)
+        for nodes in ({True}, [0.0]):
+            with pytest.raises(TypeError, match="node id must be an int"):
+                hoffman_deficiency(problem, nodes)
+
 
 class TestNdCutSubroutine:
     @staticmethod
@@ -364,12 +374,3 @@ class TestNdCutSubroutine:
         for mu in (True, 0.5, ExtInt(1)):
             with pytest.raises(TypeError, match="mu must be an int"):
                 nd_cut_subroutine(problem, set(), problem.upper, mu)
-
-    def test_rejects_malformed_start(self):
-        problem = build(3, [(0, 1), (1, 2)], [0, 0], [3, 3], [-2, 0, 2])
-        for start in ((), (0,), (0, 0, 0)):
-            with pytest.raises(ValueError, match="start must have one entry per edge"):
-                nd_cut_subroutine(problem, {0}, problem.upper, 1, start=start)
-        for start in ((0, 1.5), (True, 0), (0, ExtInt(1))):
-            with pytest.raises(TypeError, match=r"start\[\d\] must be an int"):
-                nd_cut_subroutine(problem, {0}, problem.upper, 1, start=start)

@@ -1,4 +1,4 @@
-"""Caps and deficiencies at widths beyond the oracles' reach, by scipy's max flow.
+"""Caps, deficiencies and cheapest costs beyond the oracles' reach, by scipy.
 
 The cascade's state after accepted drops down to level t has a closed
 form: u(t) = min(g_e, max(t, f_e)) on the round's focus edges, g_e
@@ -6,20 +6,29 @@ elsewhere.  So each round's beta must leave the problem feasible under
 u(beta) and infeasible under u(beta - 1).  Feasibility is decided by
 scipy.sparse.csgraph.maximum_flow on the lower-bound reduction, a max
 flow that shares no code with the package; what it leaves unrouted is
-the largest Hoffman deficiency.
+the largest Hoffman deficiency.  The cheapest fair flow's cost is the
+optimum of the linear program over the narrow box, solved by HiGHS.
 """
 
 import random
 
 import pytest
 
-from fairflow import find_feasible_mflow, most_violating_set, narrow_box
+from fairflow import (
+    cheapest_decmin_flow,
+    decmin_flow,
+    find_feasible_mflow,
+    most_violating_set,
+    narrow_box,
+)
+from fairflow.core import replace
 
 from test_warm_start import scale_problem
 
 np = pytest.importorskip("numpy")
 sparse = pytest.importorskip("scipy.sparse")
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
+optimize = pytest.importorskip("scipy.optimize")
 
 
 def shortfall(problem, upper):
@@ -90,3 +99,42 @@ def test_every_round_cap_is_minimal_at_width_1e5():
                 checked += 1
             state = state.with_bounds(rnd.f_prime, rnd.g_prime, rnd.focus_next)
     assert checked >= 60
+
+
+def box_optimum(problem, box):
+    """HiGHS's optimum of cost . x over the flows of the box, or None.
+
+    Conservation in - out = supply per node, f* <= x <= g*: the matrix
+    is a network matrix, so the optimum is attained at an integral flow.
+    None unless HiGHS reports an optimum (status 0).
+    """
+    n, m = problem.node_count, problem.edge_count
+    rows, cols, signs = [], [], []
+    for e, (u, v) in enumerate(problem.graph.edges):
+        rows += [v, u]
+        cols += [e, e]
+        signs += [1, -1]  # a loop's two entries sum to 0
+    matrix = sparse.csr_matrix((signs, (rows, cols)), shape=(n, m))
+    bounds = [(lo.finite, hi.finite) for lo, hi in zip(box.f_star, box.g_star)]
+    result = optimize.linprog(
+        problem.cost, A_eq=matrix, b_eq=problem.supply, bounds=bounds, method="highs"
+    )
+    return result.fun if result.status == 0 else None
+
+
+def test_cheapest_fair_cost_is_the_box_optimum_at_width_1000():
+    rng = random.Random(859)
+    checked = undercut = 0
+    for m in (200, 200, 300, 300):
+        problem = scale_problem(rng, m, 0.05, 1000)
+        problem = replace(problem, cost=tuple(rng.randint(-10, 10) for _ in range(m)))
+        box, _ = narrow_box(problem)
+        optimum = box_optimum(problem, box)
+        cost = sum(c * x for c, x in zip(problem.cost, cheapest_decmin_flow(problem)))
+        if optimum is None or abs(cost) >= 2**53:
+            continue
+        assert round(optimum) == cost
+        checked += 1
+        # the check is not vacuous: a fair flow that ignores the costs is dearer
+        undercut += sum(c * x for c, x in zip(problem.cost, decmin_flow(problem))) > cost
+    assert checked == 4 and undercut > 0

@@ -83,3 +83,32 @@ def test_imports_only_the_standard_library(path):
     ]
     outside = [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports {outside} from outside the standard library"
+
+
+# bench/test_bench.py reads this binding: its tracer wraps each module's own
+# binding of a traced function, and newton no longer calls it itself
+UNUSED_IMPORTS_KEPT = {("newton.py", "find_feasible_mflow")}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_level_imports_are_used(path):
+    """Every name a module imports at its top level is read somewhere in it.
+
+    __init__.py is left out: its imports are the package's public names.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(
+        (line, name) for name, line in bound.items()
+        if name not in read and (path.name, name) not in UNUSED_IMPORTS_KEPT
+    )
+    assert unused == [], f"{path.name} imports names it never uses (line, name): {unused}"

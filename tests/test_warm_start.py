@@ -1,9 +1,10 @@
-"""Warm starts change how a cut or a cap is found, never what is found.
+"""Warm starts change how a cap is found, never what is found.
 
 Instances have 50 to 400 edges, beyond the brute-force oracle's reach;
 the reference is the same call started cold.  compute_beta's Newton
 probes continue one network, so each is compared with a cold
-nd_cut_subroutine call.
+nd_cut_subroutine call.  The upper-minimizer's starts are checked in
+tests/test_upper_min.py.
 """
 
 import random
@@ -56,36 +57,6 @@ def scale_problem(rng, m, focus_share, width, inf_share=0.0, feasible=True):
         if e not in focus and rng.random() < inf_share:
             lo[e] = NEG_INF
     return FlowProblem(graph, tuple(lo), tuple(hi), tuple(supply), focus)
-
-
-def random_start(rng, problem, spread):
-    """One int per edge, often outside the edge's bounds."""
-    start = []
-    for lo, hi in zip(problem.lower, problem.upper):
-        centre = lo.finite if lo.is_finite else hi.finite if hi.is_finite else 0
-        start.append(centre + rng.randint(-spread, spread))
-    return start
-
-
-def test_nd_cut_subroutine_is_start_independent():
-    rng = random.Random(811)
-    nonempty = 0
-    for m in SIZES:
-        for feasible in (True, False):
-            problem = scale_problem(rng, m, 0.5, 10, inf_share=0.2, feasible=feasible)
-            g_prime = [
-                hi if not lo.is_finite or rng.random() < 0.5 else lo + rng.randint(0, 4)
-                for lo, hi in zip(problem.lower, problem.upper)
-            ]
-            level = {e for e in range(m) if rng.random() < 0.3}
-            for mu in (0, 1, 3):
-                cold = nd_cut_subroutine(problem, level, g_prime, mu)
-                nonempty += bool(cold[0])
-                for spread in (0, 3, 50, 10**6):
-                    start = random_start(rng, problem, spread)
-                    warm = nd_cut_subroutine(problem, level, g_prime, mu, start=start)
-                    assert warm == cold, (m, feasible, mu, spread)
-    assert nonempty > 0
 
 
 def round_states(problem):

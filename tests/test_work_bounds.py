@@ -3,7 +3,8 @@
 The fair-flow path is strongly polynomial: narrow_box runs at most n - 1
 rounds with a chain plus at most one terminal round, and at most |F| in
 all, each compute_beta makes at most 2|F| cascade drops and at most |L|
-Newton iterations, and each upper-minimizer run takes at most n
+Newton iterations and builds no validated FlowProblem (its drops run
+on plain upper lists), and each upper-minimizer run takes at most n
 primal-dual phases, one max flow each.  Drops can pass |F|: an accepted
 drop either merges the top upper value into the next one or makes an
 edge tight, and each kind can happen up to |F| times.  The counts must
@@ -41,9 +42,9 @@ def wide_problem(seed, width):
 
 
 def counted_narrow_box(monkeypatch, problem):
-    """narrow_box's rounds, with (drops, |F|) per compute_beta and
-    (max flows, n) per upper-minimizer run."""
-    drops, phases, betas, minimizers = [0], [0], [], []
+    """narrow_box's rounds, with (drops, validated problems built, |F|) per
+    compute_beta and (max flows, n) per upper-minimizer run."""
+    drops, built, phases, betas, minimizers = [0], [0], [0], [], []
 
     def counting(counter, function):
         def wrapper(*args, **kwargs):
@@ -52,11 +53,12 @@ def counted_narrow_box(monkeypatch, problem):
 
         return wrapper
 
-    def measured(counter, record, size, function):
+    def measured(counters, record, size, function):
         def wrapper(problem, *args, **kwargs):
-            counter[0] = 0
+            for counter in counters:
+                counter[0] = 0
             result = function(problem, *args, **kwargs)
-            record.append((counter[0], size(problem)))
+            record.append((*[counter[0] for counter in counters], size(problem)))
             return result
 
         return wrapper
@@ -65,14 +67,16 @@ def counted_narrow_box(monkeypatch, problem):
     monkeypatch.setattr(
         newton, "_feasibility_network", counting(drops, newton._feasibility_network)
     )
+    # every validated FlowProblem construction runs this
+    monkeypatch.setattr(FlowProblem, "__post_init__", counting(built, FlowProblem.__post_init__))
     monkeypatch.setattr(maxflow._Residual, "max_flow", counting(phases, maxflow._Residual.max_flow))
     monkeypatch.setattr(
         decmin, "compute_beta",
-        measured(drops, betas, lambda p: len(p.focus), decmin.compute_beta),
+        measured((drops, built), betas, lambda p: len(p.focus), decmin.compute_beta),
     )
     monkeypatch.setattr(
         decmin, "solve_upper_minimizer",
-        measured(phases, minimizers, lambda p: p.node_count, decmin.solve_upper_minimizer),
+        measured((phases,), minimizers, lambda p: p.node_count, decmin.solve_upper_minimizer),
     )
     _, rounds = narrow_box(problem)
     return rounds, betas, minimizers
@@ -89,8 +93,9 @@ def test_work_stays_within_the_stated_bounds(monkeypatch, width):
         assert sum(1 for rnd in rounds if rnd.chain is not None) <= problem.node_count - 1
         assert sum(1 for rnd in rounds if rnd.chain is None) <= 1
         assert len(betas) == len(rounds) and minimizers
-        for drops, focus_size in betas:
+        for drops, built, focus_size in betas:
             assert drops <= 2 * focus_size
+            assert built == 0  # the drops run on plain upper lists, not problems
             total_drops += drops
         for rnd in rounds:
             if rnd.nd_trace is not None:
