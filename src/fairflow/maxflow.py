@@ -17,28 +17,23 @@ list, _feasibility_network(problem, upper).
   Newton probe answered cold, the tests' reference.  newton continues
   one network instead (below); nothing in the package calls it.
 
-upper_min.solve_upper_minimizer runs its primal-dual phases on the same
-_super_network, one max_flow each over the arcs of zero reduced cost;
-all phases together route at most D, so the surrogate below stays
-exact.  It alone passes a start.
-
 Why one network answers all three.  Edge e starts at a finite point b
 of its bounds: the lower bound, min(0, upper) or 0, whichever is finite
-first, or a given start value clamped into the bounds.  Node
-excesses supply - in_b + out_b become sink arcs (positive, summing to
-D) or source arcs (negative).  The cut with sink side Z then has
-capacity D - supply(Z) + in_upper(Z) - out_lower(Z) = D - deficiency(Z).
-A cut through an infinite arc costs more than D, so it is never
-minimal.  After any max flow the source-reachable set is the smallest
-source side of a minimum cut, so its complement is the union of all
+first; no network takes a start.  Node excesses supply - in_b + out_b
+become sink arcs (positive, summing to D) or source arcs (negative).
+The cut with sink side Z then has capacity
+D - supply(Z) + in_upper(Z) - out_lower(Z) = D - deficiency(Z).  A cut
+through an infinite arc costs more than D, so it is never minimal.
+After any max flow the source-reachable set is the smallest source
+side of a minimum cut, so its complement is the union of all
 deficiency maximizers, whichever maximum flow the engine finds.  Its
 deficiency is therefore D - value, read off the flow value rather than
-recounted over the boundary.  None of this depends on b: every start
-gives the same minimizing sets, source-reachable set and D - value.
-Only the flow found, and how many augmenting paths it takes, change.
-A start that is already nearly feasible leaves a small D to route.
-Raising an upper bound raises only arc 2e, upper - b, and keeps D and
-the flow pushed so far: newton's probes continue a max flow that way.
+recounted over the boundary.  None of this depends on b: any point of
+the bounds gives the same minimizing sets, source-reachable set and
+D - value; only the flow found, and how many augmenting paths it
+takes, would change.  Raising an upper bound raises only arc 2e,
+upper - b, and keeps D and the flow pushed so far: newton's probes
+continue a max flow that way.
 
 Residual capacities are plain ints, and networks are built from plain
 bound views (extint.plain, None for an infinity), so ExtInt stays in
@@ -220,23 +215,18 @@ def max_flow(
 
 
 def _super_network(
-    n: int, edges: Sequence, supply: Sequence[int], lower: Sequence, upper: Sequence, start=None
+    n: int, edges: Sequence, supply: Sequence[int], lower: Sequence, upper: Sequence
 ) -> tuple[_Residual, list[int], int]:
     """The super-source/super-sink network of ``edges`` under (lower, upper).
 
     The bounds are plain views (extint.plain).  Returns (net, base,
     demand_total); the source is node n, the sink n + 1.  Edge e starts
-    at base[e], start[e] clamped into its bounds when a start is given;
-    arc 2e may raise it to its upper bound and the reverse arc 2e+1
-    lower it to its lower bound (module docstring).
+    at base[e]; arc 2e may raise it to its upper bound and the reverse
+    arc 2e+1 lower it to its lower bound (module docstring).
     """
     source, sink = n, n + 1
-    if start is None:
-        base = [lo if lo is not None else 0 if hi is None else min(0, hi)
-                for lo, hi in zip(lower, upper)]
-    else:
-        base = [lo if lo is not None and b < lo else hi if hi is not None and b > hi else b
-                for b, lo, hi in zip(start, lower, upper)]
+    base = [lo if lo is not None else 0 if hi is None else min(0, hi)
+            for lo, hi in zip(lower, upper)]
     excess = list(supply)
     for (u, v), b in zip(edges, base):
         excess[v] -= b

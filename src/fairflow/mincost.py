@@ -4,10 +4,13 @@ A feasible flow is cost-minimal iff its costed residual digraph has no
 negative di-circuit, and in that case shortest-path distances in the
 residual give an integer potential certifying it.  The solver leans on
 both directions: start from any feasible flow, cancel negative residual
-cycles until none remain, then the potentials fall out for free.
+cycles until none remain (Klein, Management Science 14(3), 1967), then
+the potentials fall out for free.
 
-Costs are restricted to integers so all arithmetic is exact.  The
-solver keeps its residual as plain int capacities; core's
+One engine, _cancel, does so over plain int capacities for two callers:
+min_cost_mflow with the user's costs, integers so that all arithmetic
+is exact, and upper_min.solve_upper_minimizer with 0/1 costs, which
+reads its chain off the labels of the last, cycle-free search.  core's
 CostedResidual, shared with the fairness certificates, is what
 find_negative_dicircuit and residual_potentials read.
 """
@@ -55,14 +58,14 @@ def residual_potentials(residual: CostedResidual) -> list[int]:
 def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     """Integral feasible flow minimizing total cost.
 
-    Establishes any feasible flow, then cancels negative residual
-    di-circuits until the residual is conservative.  The residual is
-    kept as one list of plain capacities: entry 2e is the room to raise
-    edge e (upper - z, forward arc, cost c) and entry 2e+1 the room to
-    lower it (z - lower, backward arc, cost -c), None for +inf as in
-    extint.plain.  Each search runs over the non-zero entries in that
-    order, the arc order build_costed_residual gives, and a cancellation
-    changes only the entries of the circuit's edges.
+    Establishes any feasible flow, then _cancel cancels negative
+    residual di-circuits until the residual is conservative.  The
+    residual is kept as one list of plain capacities: entry 2e is the
+    room to raise edge e (upper - z, forward arc, cost c) and entry 2e+1
+    the room to lower it (z - lower, backward arc, cost -c), None for
+    +inf as in extint.plain.  Each search runs over the non-zero entries
+    in that order, the arc order build_costed_residual gives, and a
+    cancellation changes only the entries of the circuit's edges.
 
     Raises InfeasibleError when no feasible flow exists, and
     UnboundedCostError when the cost guard fails: every negative-cost
@@ -90,16 +93,31 @@ def min_cost_mflow(problem: FlowProblem) -> FlowValues:
     caps = []
     for e, z in enumerate(values):
         caps += (None if hi[e] is None else hi[e] - z, None if lo[e] is None else z - lo[e])
+    _cancel(problem.node_count, tails, heads, weights, caps, values)
+    return tuple(values)
+
+
+def _cancel(
+    node_count: int, tails: list, heads: list, weights: list, caps: list, values: list
+) -> tuple[list[int], list[int]]:
+    """Cancel negative residual circuits in place until none remain.
+
+    Slots 2e and 2e+1 are edge e's forward and backward arcs, with
+    tails, heads, weights and plain capacities (None for +inf) as in
+    min_cost_mflow; each cancellation updates ``caps`` and ``values``.
+    Returns (labels, live) of the last search: the shortest distances
+    from a zero root over the live slots, the non-zero ones in order.
+    """
     while True:
         live = [s for s, c in enumerate(caps) if c != 0]
-        _, cycle = bellman_ford(
-            problem.node_count,
+        labels, cycle = bellman_ford(
+            node_count,
             [tails[s] for s in live],
             [heads[s] for s in live],
             [weights[s] for s in live],
         )
         if cycle is None:
-            return tuple(values)
+            return labels, live
         slots = [live[i] for i in cycle]
         finite = [caps[s] for s in slots if caps[s] is not None]
         if not finite:

@@ -12,21 +12,23 @@ copy of each L-edge in id order; copies cost one and everything else
 zero.  The copy flow counts the saturated edges, and folding it back
 onto the originals gives the flow.
 
-The primal-dual method (Ahuja, Magnanti & Orlin, Network Flows, 1993,
-section 9.8) solves it on maxflow's network of the extended program,
-from a start clamped into its bounds with the copies at zero, so every
-reduced cost c + pi(tail) - pi(head) is >= 0 at pi = 0.  Each phase
-routes what it can over the arcs of reduced cost zero by one Dinic max
-flow, then raises pi on the nodes it did not reach by the least reduced
-cost leaving the reached set; reduced costs stay >= 0.  Unit costs keep
-pi below n, so a feasible problem takes at most n phases of O(n^2 m)
-each: strongly polynomial.
+A feasible flow of the problem splits into one of the extended program:
+an L-edge at its upper bound moves its last unit to its copy.  From
+there mincost's one cycle-canceling engine (_cancel) cancels negative
+residual circuits.  Each costs at most -1, and the cost is the
+saturated count, so a run makes at most
+(saturated at start - count) + 1 <= |L| + 1 Bellman-Ford searches of
+O(nm) each: strongly polynomial.  The start is the caller's flow when it passes check_flow,
+else require_feasible's, one max flow.  narrow_box passes each round's
+BetaResult.flow, feasible under the clamped bounds, so a round makes
+no max flow here.
 
-Shortest distances from a zero root over the final residual are the
+The labels of the engine's last, cycle-free search are the shortest
+distances from a zero root over the final residual: the
 pointwise-largest optimal dual <= 0, which is the same for every
-optimal flow and so for every start.  Compressed to consecutive integer
-levels from zero, they cut out the chain: its members are the upper
-level sets of the positive levels.
+optimal flow and so for every start.  Compressed to consecutive
+integer levels from zero, they cut out the chain: its members are the
+upper level sets of the positive levels.
 
 Every output is verified against the five saturation criteria (O1)-(O5)
 before being returned; a failure raises InternalCertificateFailure and
@@ -43,11 +45,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from ._bf import bellman_ford
-from .core import FlowProblem, FlowValues, Record, _ids, _ints
+from .core import FlowProblem, FlowValues, Record, _ids, _ints, check_flow
 from .errors import InternalCertificateFailure
 from .extint import ExtInt, NEG_INF, POS_INF, as_extint
-from .maxflow import _super_network, hoffman_deficiency, require_feasible
+from .maxflow import hoffman_deficiency, require_feasible
+from .mincost import _cancel
 
 
 class Chain(Record):
@@ -127,6 +129,13 @@ def _outside(lower: list, upper: list, criteria: list, values: Sequence[int]) ->
     ]
 
 
+def _round_ids(problem: FlowProblem, level_edges: Iterable[int], chain: Chain) -> frozenset[int]:
+    """The level edge ids, after checking them and every chain node against the problem."""
+    for member in chain.sets:
+        _ids(member, problem.node_count, "chain node id")
+    return _ids(level_edges, problem.edge_count, "level edge id")
+
+
 def verify_O1_O5(
     problem: FlowProblem, level_edges: Iterable[int], values: Sequence[int], chain: Chain
 ) -> list[str]:
@@ -134,9 +143,12 @@ def verify_O1_O5(
 
     Each edge with a criterion must lie in the window _chain_window
     gives it; one message per edge outside, starting with the label of
-    the criterion it violates.
+    the criterion it violates.  Level edge and chain node ids outside
+    the problem, and values not one per edge, raise ValueError.
     """
-    level = _ids(level_edges, problem.edge_count, "level edge id")
+    level = _round_ids(problem, level_edges, chain)
+    if len(values) != problem.edge_count:
+        raise ValueError(f"expected {problem.edge_count} values, got {len(values)}")
     return _outside(*_chain_window(problem, level, chain), values)
 
 
@@ -150,9 +162,9 @@ def apply_round_bounds(
     two or more chain members at beta, narrow one entering one member
     to [beta-1, beta] and cap one crossing nothing at beta-1.  Returns
     (f', g', narrowed), narrowed holding the cap-level edges entering a
-    member.
+    member.  Ids outside the problem raise ValueError.
     """
-    level_set = _ids(level_set, problem.edge_count, "level edge id")
+    level_set = _round_ids(problem, level_set, chain)
     for e in sorted(level_set):
         if problem._hi[e] != beta:
             raise InternalCertificateFailure(f"cap-level edge {e} must sit at beta {beta}")
@@ -171,8 +183,11 @@ def _dual_value(problem: FlowProblem, criteria: list[str | None], chain: Chain) 
 
 
 def chain_dual_value(problem: FlowProblem, level_edges: Iterable[int], chain: Chain) -> int:
-    """Dual objective: entered L-edges minus the chain's slack terms."""
-    level = _ids(level_edges, problem.edge_count, "level edge id")
+    """Dual objective: entered L-edges minus the chain's slack terms.
+
+    Ids outside the problem raise ValueError, as does an infinite slack term.
+    """
+    level = _round_ids(problem, level_edges, chain)
     return _dual_value(problem, _chain_window(problem, level, chain)[2], chain)
 
 
@@ -183,16 +198,18 @@ def solve_upper_minimizer(
 
     Level edge ids must be ints (TypeError) in range(edge_count), each
     with finite, non-tight bounds (ValueError).  ``start`` is None or
-    one int per edge (ValueError, TypeError), where the phases start;
-    a start near the answer leaves little to route.  Returns (flow,
-    chain, saturated_count) from the primal-dual phases, at most n
-    (module docstring); the chain and count are the same for every
-    start.  Before returning it re-checks complementary slackness of the
-    compressed potentials on the final residual, the criteria (O1)-(O5),
-    that every chain member is a proper subset with a finite boundary
-    term, and that the chain's dual value equals the count.  Raises
-    InfeasibleError, with require_feasible's certificate, when the
-    problem has no feasible flow at all.
+    one int per edge (ValueError, TypeError).  A start that passes
+    check_flow is split onto the extended program and canceled from
+    (module docstring); None or an infeasible start is replaced by
+    require_feasible's flow, one max flow.  Returns (flow, chain,
+    saturated_count); the chain and count are the same for every start,
+    and the run makes at most (saturated at start - count) + 1
+    Bellman-Ford searches.  Before returning it re-checks complementary
+    slackness of the compressed labels on the final residual, the
+    criteria (O1)-(O5), that every chain member is a proper subset with
+    a finite boundary term, and that the chain's dual value equals the
+    count.  Raises InfeasibleError, with require_feasible's certificate,
+    when the problem has no feasible flow at all.
     """
     level = _ids(level_edges, problem.edge_count, "level edge id")
     copied = sorted(level)
@@ -206,52 +223,29 @@ def solve_upper_minimizer(
     if start is not None:
         if len(start) != m:
             raise ValueError("start must have one entry per edge")
-        start = _ints(start, "start") + (0,) * k  # the copies start at zero
-    upper = [hi - 1 if e in level else hi for e, hi in enumerate(upper)]
-    net, base, demand = _super_network(
-        n, edges + tuple(edges[e] for e in copied), problem.supply,
-        lower + [0] * k, upper + [1] * k, start,
-    )
-    arcs, head, res = range(2 * (m + k)), net.head, net.res  # the real arcs
-    tail = [head[a ^ 1] for a in arcs]
-    cost = [0] * (2 * m) + [1, -1] * k
-    pi = [0] * n  # the super-terminal arcs are always admissible
-    routed = 0
-    while True:
-        hidden = [(a, res[a]) for a in arcs if res[a] and cost[a] + pi[tail[a]] != pi[head[a]]]
-        for a, _ in hidden:
-            res[a] = 0
-        value, reached = net.max_flow(n, n + 1)
-        for a, r in hidden:
-            res[a] = r
-        routed += value
-        if routed == demand:
-            break
-        leaving = [cost[a] + pi[tail[a]] - pi[head[a]]
-                   for a in arcs if res[a] and reached[tail[a]] >= 0 > reached[head[a]]]
-        if not leaving:  # no feasible flow: raise require_feasible's certificate
-            require_feasible(problem)
-            raise InternalCertificateFailure("the phases stalled on a feasible problem")
-        delta = min(leaving)
-        if delta <= 0:
-            raise InternalCertificateFailure(f"a phase left reduced cost {delta} uncrossed")
-        for v in range(n):
-            if reached[v] < 0:
-                pi[v] += delta
-    flow = net.values(base)
-    copy_flow = dict(zip(copied, flow[m:]))
-    count = sum(flow[m:])
-    values = tuple(z + copy_flow.get(e, 0) for e, z in enumerate(flow[:m]))
-    present = [a for a in arcs if res[a]]
-    potentials, cycle = bellman_ford(
-        n, [tail[a] for a in present], [head[a] for a in present], [cost[a] for a in present]
-    )
-    if cycle is not None:
-        raise InternalCertificateFailure("the final residual has a negative cycle")
-    rank = {p: i for i, p in enumerate(sorted(set(potentials)))}
-    y = [rank[p] for p in potentials]
+        start = _ints(start, "start")
+    if start is None or check_flow(problem, start) is not None:
+        start = require_feasible(problem)
+    # the split start: an L-edge at its upper bound moves its last unit to its copy
+    values = [z - (e in level and z == upper[e]) for e, z in enumerate(start)]
+    values += [start[e] - values[e] for e in copied]
+    upper = [hi - 1 if e in level else hi for e, hi in enumerate(upper)] + [1] * k
+    tails, heads, caps = [], [], []
+    ends = edges + tuple(edges[e] for e in copied)
+    for (u, v), z, lo, hi in zip(ends, values, lower + [0] * k, upper):
+        tails += (u, v)
+        heads += (v, u)
+        caps += (None if hi is None else hi - z, None if lo is None else z - lo)
+    weights = [0] * (2 * m) + [1, -1] * k
+    labels, live = _cancel(n, tails, heads, weights, caps, values)
+    count = sum(values[m:])
+    for e, z in zip(copied, values[m:]):
+        values[e] += z  # fold the copies back onto their edges
+    values = tuple(values[:m])
+    rank = {p: i for i, p in enumerate(sorted(set(labels)))}
+    y = [rank[p] for p in labels]
     # compressing keeps the sign of each difference and never enlarges it
-    if any(y[head[a]] - y[tail[a]] > cost[a] for a in present):
+    if any(y[heads[s]] - y[tails[s]] > weights[s] for s in live):
         raise InternalCertificateFailure("residual potentials violate complementary slackness")
     levels = range(1, max(y) + 1)
     chain = Chain(tuple(frozenset(v for v, yv in enumerate(y) if yv >= i) for i in levels))

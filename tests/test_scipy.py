@@ -7,7 +7,9 @@ u(beta) and infeasible under u(beta - 1).  Feasibility is decided by
 scipy.sparse.csgraph.maximum_flow on the lower-bound reduction, a max
 flow that shares no code with the package; what it leaves unrouted is
 the largest Hoffman deficiency.  The cheapest fair flow's cost is the
-optimum of the linear program over the narrow box, solved by HiGHS.
+optimum of the linear program over the narrow box, and each round's
+saturated count the optimum of the upper-minimizer's extended 0/1
+program over the round's clamped bounds, both solved by HiGHS.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 
 from fairflow import (
     cheapest_decmin_flow,
+    decmin,
     decmin_flow,
     find_feasible_mflow,
     most_violating_set,
@@ -138,3 +141,56 @@ def test_cheapest_fair_cost_is_the_box_optimum_at_width_1000():
         # the check is not vacuous: a fair flow that ignores the costs is dearer
         undercut += sum(c * x for c, x in zip(problem.cost, decmin_flow(problem))) > cost
     assert checked == 4 and undercut > 0
+
+
+def fewest_saturated(problem, level):
+    """HiGHS's optimum of the upper-minimizer's extended program, or None.
+
+    The edges, with upper - 1 on the level edges, then a [0, 1] copy of
+    each level edge costing one, everything else zero; conservation
+    in - out = supply per node.  The matrix is a network matrix, so the
+    optimum, the fewest level edges at their upper bound, is integral.
+    None unless HiGHS reports an optimum (status 0).
+    """
+    n, copied = problem.node_count, sorted(level)
+    ends = problem.graph.edges + tuple(problem.graph.edges[e] for e in copied)
+    rows, cols, signs = [], [], []
+    for j, (u, v) in enumerate(ends):
+        rows += [v, u]
+        cols += [j, j]
+        signs += [1, -1]
+    matrix = sparse.csr_matrix((signs, (rows, cols)), shape=(n, len(ends)))
+    bounds = [
+        (lo.finite, hi.finite - (e in level))
+        for e, (lo, hi) in enumerate(zip(problem.lower, problem.upper))
+    ] + [(0, 1)] * len(copied)
+    cost = [0] * problem.edge_count + [1] * len(copied)
+    result = optimize.linprog(
+        cost, A_eq=matrix, b_eq=problem.supply, bounds=bounds, method="highs"
+    )
+    return result.fun if result.status == 0 else None
+
+
+def test_every_round_count_is_the_extended_optimum_at_width_1e5(monkeypatch):
+    rng = random.Random(863)
+    problem = scale_problem(rng, 200, 1.0, 10**5)
+    calls, solve = [], decmin.solve_upper_minimizer
+
+    def recorded(state, level, start):
+        flow, chain, count = solve(state, level, start)
+        saturated = sum(1 for e in level if start[e] == state.upper[e])
+        calls.append((state, level, count, saturated))
+        return flow, chain, count
+
+    monkeypatch.setattr(decmin, "solve_upper_minimizer", recorded)
+    narrow_box(problem)
+    checked = canceled = 0
+    for state, level, count, saturated in calls:
+        optimum = fewest_saturated(state, level)
+        if optimum is None:
+            continue
+        assert round(optimum) == count
+        checked += 1
+        # the check is not vacuous: the round's start saturates more than the count
+        canceled += saturated > count
+    assert checked == len(calls) >= 30 and canceled > 0

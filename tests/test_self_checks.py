@@ -94,33 +94,6 @@ def level_edge_off_beta(monkeypatch, asym):
     return lambda: apply_round_bounds(asym, 2, {0}, Chain(()))
 
 
-def stalled_phases(monkeypatch, asym):
-    # infeasible, but the feasibility check that should raise its certificate passes
-    problem = build(2, [(0, 1)], [0], [1], [-2, 2])
-    monkeypatch.setattr(upper_min, "require_feasible", lambda problem: None)
-    return lambda: solve_upper_minimizer(problem, set())
-
-
-def uncrossed_reduced_cost(monkeypatch, asym):
-    # the max flow routes nothing and claims node 1 unreached, although
-    # the admissible arc 0->1 still has room: the phase cannot advance
-    problem = build(2, [(0, 1)], [0], [2], [-1, 1])
-    network = upper_min._super_network
-
-    def corrupted(*args):
-        net, base, demand = network(*args)
-        net.max_flow = lambda source, sink: (0, [0, -1, 0, -1])
-        return net, base, demand
-
-    monkeypatch.setattr(upper_min, "_super_network", corrupted)
-    return lambda: solve_upper_minimizer(problem, set())
-
-
-def negative_final_residual(monkeypatch, asym):
-    monkeypatch.setattr(upper_min, "bellman_ford", lambda n, *a: ([0] * n, [0]))
-    return saturate
-
-
 def failed_criteria(monkeypatch, asym):
     # the helper verify_O1_O5 calls, on the window solve_upper_minimizer computed
     monkeypatch.setattr(upper_min, "_outside", lambda *a: ["O1: corrupted"])
@@ -171,9 +144,6 @@ CASES = [
     (violated_potential, "constructed potential-vector violates arc 0"),
     (unusable_implied_bound, "implied bound .* on edge 0 is not usable"),
     (level_edge_off_beta, "cap-level edge 0 must sit at beta 2"),
-    (stalled_phases, "the phases stalled on a feasible problem"),
-    (uncrossed_reduced_cost, "a phase left reduced cost 0 uncrossed"),
-    (negative_final_residual, "the final residual has a negative cycle"),
     (failed_criteria, "saturation criteria failed: O1: corrupted"),
     (full_chain_member, "chain member is not a proper subset"),
     (infinite_boundary_term, "chain member has an infinite boundary term"),

@@ -11,16 +11,19 @@ from fairflow import (
     ExtInt,
     FlowProblem,
     InfeasibleError,
+    apply_dicircuit,
     apply_round_bounds,
+    build_costed_residual,
     chain_dual_value,
     check_flow,
     compute_beta,
     most_violating_set,
     narrow_box,
+    require_feasible,
     solve_upper_minimizer,
     verify_O1_O5,
 )
-from fairflow import upper_min
+from fairflow import decmin, maxflow, mincost
 from fairflow._bf import bellman_ford
 from fairflow.core import imbalances
 from fairflow.errors import InternalCertificateFailure
@@ -132,6 +135,26 @@ class TestParallelCopy:
             with pytest.raises(TypeError, match="level edge id must be an int"):
                 call()
 
+    @pytest.mark.parametrize("node", [-1, 2, 5, 7])
+    def test_rejects_chain_nodes_outside_the_graph(self, node):
+        # these raised a bare KeyError from Chain.depth
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4])
+        chain = Chain([{node}])
+        for call in (
+            lambda: verify_O1_O5(problem, [0], (2, 2), chain),
+            lambda: chain_dual_value(problem, [0], chain),
+            lambda: apply_round_bounds(problem, 4, [0], chain),
+        ):
+            with pytest.raises(ValueError, match=f"chain node id {node} out of range"):
+                call()
+
+    @pytest.mark.parametrize("values", [(2,), (2, 2, 0), ()])
+    def test_verify_rejects_values_of_wrong_length(self, values):
+        # one value too few raised a bare IndexError
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4])
+        with pytest.raises(ValueError, match=f"expected 2 values, got {len(values)}"):
+            verify_O1_O5(problem, [0], values, Chain([{1}]))
+
     def test_takes_no_round(self, capped):
         # a reduction round is narrow_box's: solve, then apply_round_bounds
         with pytest.raises(TypeError, match="beta"):
@@ -230,7 +253,9 @@ def large_problem(rng, n, m, width, feasible):
 
 class TestStart:
     """Beyond the oracle's cap: every start gives the same chain, count and
-    infeasibility certificate, and the flow saturates exactly count edges."""
+    infeasibility certificate, and the flow saturates exactly count edges.
+    A feasible start is canceled from directly: no max flow, and at most
+    (saturated at start - count) + 1 searches."""
 
     @staticmethod
     def countable(problem):
@@ -242,11 +267,34 @@ class TestStart:
 
     @staticmethod
     def starts(rng, m):
+        """None and starts infeasible on these instances: each is replaced by
+        require_feasible's flow."""
         yield None
         yield [0] * m
         yield [rng.randint(-10, 10) for _ in range(m)]
-        # far outside every finite bound: each entry is clamped
+        # far outside every finite bound
         yield [rng.choice((-(10**9), 10**9)) for _ in range(m)]
+
+    @staticmethod
+    def moved(rng, problem, flow, moves=6):
+        """The flow pushed one unit around each of a few random residual circuits.
+
+        Each circuit closes a random walk over the residual arcs, so the
+        result stays feasible and differs from what any solver returns.
+        """
+        for _ in range(moves):
+            out = {}
+            for arc in build_costed_residual(problem, flow).arcs:
+                out.setdefault(arc.tail, []).append(arc)
+            node, walk, seen = rng.choice(sorted(out)), [], {}
+            while node in out and node not in seen:
+                seen[node] = len(walk)
+                walk.append(rng.choice(out[node]))
+                node = walk[-1].head
+            if node in seen:
+                flow = apply_dicircuit(flow, walk[seen[node]:])
+        assert check_flow(problem, flow) is None
+        return flow
 
     @staticmethod
     def answer(problem, level, start):
@@ -260,25 +308,60 @@ class TestStart:
         assert count == sum(1 for e in level if flow[e] == problem.upper[e])
         return chain, count
 
+    def canceled_from(self, monkeypatch, problem, level, start):
+        """answer() for a feasible start, after checking the work it took."""
+        flows, searches = [0], [0]
+
+        def counting(counter, function):
+            def wrapper(*args):
+                counter[0] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            maxflow._Residual, "max_flow", counting(flows, maxflow._Residual.max_flow)
+        )
+        monkeypatch.setattr(mincost, "bellman_ford", counting(searches, mincost.bellman_ford))
+        result = self.answer(problem, level, start)
+        monkeypatch.undo()
+        saturated = sum(1 for e in level if start[e] == problem.upper[e])
+        assert flows[0] == 0
+        assert 1 <= searches[0] <= saturated - result[1] + 1
+        return result
+
     @pytest.mark.parametrize("m", [50, 100, 200, 400])
-    def test_every_start_gives_the_same_answer(self, m):
+    def test_every_start_gives_the_same_answer(self, monkeypatch, m):
         rng = random.Random(f"start:{m}")
         answers = []
         for width, feasible in ((6, True), (100, True), (6, False)):
             problem = large_problem(rng, rng.randint(m // 8, m // 3), m, width, feasible)
             level = {e for e in self.countable(problem) if rng.random() < 0.5}
-            cases = [(problem, level, None)]
+            cases = [(problem, level, None, [])]
             if feasible:
-                # the states of the first round and of the round with the
-                # deepest chain; narrow_box solved them from its own start
+                # the states of the first round and of the round with the deepest
+                # chain, with the start narrow_box gave them: BetaResult.flow
+                calls, solve = [], decmin.solve_upper_minimizer
+
+                def recorded(*args):
+                    calls.append(args)
+                    return solve(*args)
+
+                monkeypatch.setattr(decmin, "solve_upper_minimizer", recorded)
                 _, rounds = narrow_box(problem.with_bounds(focus=self.countable(problem)))
-                lower = [problem.lower] + [r.f_prime for r in rounds]
-                chained = [i for i, r in enumerate(rounds) if r.chain is not None]
-                for i in {chained[0], max(chained, key=lambda i: len(rounds[i].chain))}:
-                    state = problem.with_bounds(lower[i], rounds[i].g_capped)
-                    cases.append((state, rounds[i].level_set, rounds[i].chain))
-            for state, level, chain in cases:
+                monkeypatch.undo()
+                chained = [r for r in rounds if r.chain is not None]
+                assert len(calls) == len(chained)
+                for i in {0, max(range(len(chained)), key=lambda i: len(chained[i].chain))}:
+                    state, lvl, flow = calls[i]
+                    cases.append((state, lvl, chained[i].chain, [flow]))
+            for state, level, chain, feasible_starts in cases:
                 seen = {self.answer(state, level, start) for start in self.starts(rng, m)}
+                if feasible:
+                    feasible_starts.append(require_feasible(state))
+                    feasible_starts += [self.moved(rng, state, f) for f in feasible_starts]
+                for start in feasible_starts:
+                    seen.add(self.canceled_from(monkeypatch, state, level, start))
                 assert len(seen) == 1
                 answers += seen
                 if chain is not None:
@@ -292,14 +375,15 @@ class TestSlackness:
 
     @staticmethod
     def shift(monkeypatch, node, step):
-        """Make the residual distances of solve_upper_minimizer move node by step."""
+        """Make the engine's residual distances, which solve_upper_minimizer
+        compresses into the chain, move node by step."""
 
         def shifted(*args):
             dist, cycle = bellman_ford(*args)
             dist[node] += step
             return dist, cycle
 
-        monkeypatch.setattr(upper_min, "bellman_ford", shifted)
+        monkeypatch.setattr(mincost, "bellman_ford", shifted)
 
     def test_interior_edge_needs_equal_potentials(self, monkeypatch):
         # value 1 inside [0, 2] at cost 0: both residual arcs need dy == 0

@@ -4,20 +4,23 @@ The fair-flow path is strongly polynomial: narrow_box runs at most n - 1
 rounds with a chain plus at most one terminal round, and at most |F| in
 all, each compute_beta makes at most 2|F| cascade drops and at most |L|
 Newton iterations and builds no validated FlowProblem (its drops run
-on plain upper lists), and each upper-minimizer run takes at most n
-primal-dual phases, one max flow each.  Drops can pass |F|: an accepted
-drop either merges the top upper value into the next one or makes an
-edge tight, and each kind can happen up to |F| times.  The counts must
-not grow with the box width, so the instances here are all-focus with
-widths 10^3 and 10^12 on the same graphs: a pseudo-polynomial
-regression would run millions of times past the bounds.
+on plain upper lists), and each upper-minimizer run, started from
+compute_beta's flow, makes no max flow and at most
+(saturated at start - count) + 1 Bellman-Ford searches, as each
+canceled circuit lowers the count by at least one.  Drops can pass
+|F|: an accepted drop either merges the top upper value into the next
+one or makes an edge tight, and each kind can happen up to |F| times.
+The counts must not grow with the box width, so the instances here are
+all-focus with widths 10^3 and 10^12 on the same graphs: a
+pseudo-polynomial regression would run millions of times past the
+bounds.
 """
 
 import random
 
 import pytest
 
-from fairflow import Digraph, ExtInt, FlowProblem, decmin, maxflow, narrow_box, newton
+from fairflow import Digraph, ExtInt, FlowProblem, decmin, maxflow, mincost, narrow_box, newton
 from fairflow.core import imbalances
 
 
@@ -43,8 +46,9 @@ def wide_problem(seed, width):
 
 def counted_narrow_box(monkeypatch, problem):
     """narrow_box's rounds, with (drops, validated problems built, |F|) per
-    compute_beta and (max flows, n) per upper-minimizer run."""
-    drops, built, phases, betas, minimizers = [0], [0], [0], [], []
+    compute_beta and (max flows, searches, saturated at start, count) per
+    upper-minimizer run."""
+    drops, built, flows, searches, betas, minimizers = [0], [0], [0], [0], [], []
 
     def counting(counter, function):
         def wrapper(*args, **kwargs):
@@ -63,28 +67,35 @@ def counted_narrow_box(monkeypatch, problem):
 
         return wrapper
 
+    def minimizer(problem, level, start):
+        flows[0] = searches[0] = 0
+        flow, chain, count = solve(problem, level, start)
+        saturated = sum(1 for e in level if start[e] == problem.upper[e])
+        minimizers.append((flows[0], searches[0], saturated, count))
+        return flow, chain, count
+
     # compute_beta solves each drop through this binding
     monkeypatch.setattr(
         newton, "_feasibility_network", counting(drops, newton._feasibility_network)
     )
     # every validated FlowProblem construction runs this
     monkeypatch.setattr(FlowProblem, "__post_init__", counting(built, FlowProblem.__post_init__))
-    monkeypatch.setattr(maxflow._Residual, "max_flow", counting(phases, maxflow._Residual.max_flow))
+    monkeypatch.setattr(maxflow._Residual, "max_flow", counting(flows, maxflow._Residual.max_flow))
+    # the cycle-canceling engine searches through this binding
+    monkeypatch.setattr(mincost, "bellman_ford", counting(searches, mincost.bellman_ford))
     monkeypatch.setattr(
         decmin, "compute_beta",
         measured((drops, built), betas, lambda p: len(p.focus), decmin.compute_beta),
     )
-    monkeypatch.setattr(
-        decmin, "solve_upper_minimizer",
-        measured((phases,), minimizers, lambda p: p.node_count, decmin.solve_upper_minimizer),
-    )
+    solve = decmin.solve_upper_minimizer
+    monkeypatch.setattr(decmin, "solve_upper_minimizer", minimizer)
     _, rounds = narrow_box(problem)
     return rounds, betas, minimizers
 
 
 @pytest.mark.parametrize("width", (10**3, 10**12))
 def test_work_stays_within_the_stated_bounds(monkeypatch, width):
-    total_rounds = total_drops = 0
+    total_rounds = total_drops = total_cancels = 0
     for seed in range(18):
         problem = wide_problem(seed, width)
         rounds, betas, minimizers = counted_narrow_box(monkeypatch, problem)
@@ -100,8 +111,11 @@ def test_work_stays_within_the_stated_bounds(monkeypatch, width):
         for rnd in rounds:
             if rnd.nd_trace is not None:
                 assert len(rnd.nd_trace.iterations) <= len(rnd.level_set)
-        for max_flows, n in minimizers:
-            assert 1 <= max_flows <= n
+        for max_flows, searches, saturated, count in minimizers:
+            assert max_flows == 0  # the start is compute_beta's feasible flow
+            assert 1 <= searches <= saturated - count + 1
+            total_cancels += searches - 1
         total_rounds += len(rounds)
-    # the counts are not vacuous: the family runs many rounds and drops at either width
-    assert total_rounds >= 100 and total_drops > 0
+    # the counts are not vacuous: the family runs many rounds, drops and
+    # cancellations at either width
+    assert total_rounds >= 100 and total_drops > 0 and total_cancels > 0
