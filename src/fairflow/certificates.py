@@ -107,6 +107,13 @@ def build_level_cost(
     return aux, LevelCost(levels, tuple(sign), tuple(level))
 
 
+def _check_arc_count(aux: CostedResidual, cost: LevelCost) -> None:
+    """ValueError unless the cost has one sign and one level per residual arc."""
+    sizes = (len(cost.arc_sign), len(cost.arc_level), len(aux.arcs))
+    if sizes[0] != sizes[2] or sizes[1] != sizes[2]:
+        raise ValueError("cost has %d arc signs and %d arc levels for %d residual arcs" % sizes)
+
+
 def find_improving_dicircuit(
     aux: CostedResidual, cost: LevelCost
 ) -> tuple[ResidualArc, ...] | None:
@@ -121,6 +128,7 @@ def find_improving_dicircuit(
     negative closed walk contains a negative simple circuit, so the
     verdict is that of a search over the vectors themselves.
     """
+    _check_arc_count(aux, cost)
     k = cost.dimension
     base = 2 * len(aux.arcs) + 1
     _, cycle = bellman_ford(
@@ -160,6 +168,7 @@ def build_potential_vector(
     i sums to zero on every earlier level and is lexicographically
     negative overall.
     """
+    _check_arc_count(aux, cost)
     active = list(range(len(aux.arcs)))
     components: list[list[int]] = []
     for lvl in range(cost.dimension):
@@ -212,6 +221,7 @@ def potential_is_feasible(
 ) -> bool:
     """Arc-by-arc lexicographic feasibility of a potential-vector; False
     unless it has the cost's dimension and one row of that length per node."""
+    _check_arc_count(aux, cost)
     k, rows = cost.dimension, potential.values
     if potential.dimension != k or len(rows) != aux.node_count or any(len(r) != k for r in rows):
         return False

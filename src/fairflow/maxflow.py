@@ -6,7 +6,7 @@ every shortest augmenting path, so a solve takes at most n - 1 phases of
 O(nm) each, O(n^2 m) in all, strongly polynomial.  Besides max_flow, one
 network serves three reductions: the feasibility network of a problem's
 graph and supplies under its own lower bounds and a given plain upper
-list, _feasibility_network(problem, upper).
+list, _feasibility_network(problem, upper), optionally from a start.
 
 * find_feasible_mflow: an integral feasible flow, or a node set
   certifying infeasibility.
@@ -18,22 +18,21 @@ list, _feasibility_network(problem, upper).
   one network instead (below); nothing in the package calls it.
 
 Why one network answers all three.  Edge e starts at a finite point b
-of its bounds: the lower bound, min(0, upper) or 0, whichever is finite
-first; no network takes a start.  Node excesses supply - in_b + out_b
-become sink arcs (positive, summing to D) or source arcs (negative).
-The cut with sink side Z then has capacity
+of its bounds: a given start clamped into them, or else the lower
+bound, min(0, upper) or 0, whichever is finite first.  Node excesses
+supply - in_b + out_b become sink arcs (positive, summing to D) or
+source arcs (negative).  The cut with sink side Z then has capacity
 D - supply(Z) + in_upper(Z) - out_lower(Z) = D - deficiency(Z).  A cut
 through an infinite arc costs more than D, so it is never minimal.
 After any max flow the source-reachable set is the smallest source
 side of a minimum cut, so its complement is the union of all
 deficiency maximizers, whichever maximum flow the engine finds.  Its
-deficiency is therefore D - value, read off the flow value rather than
-recounted over the boundary.  None of this depends on b: any point of
-the bounds gives the same minimizing sets, source-reachable set and
-D - value; only the flow found, and how many augmenting paths it
-takes, would change.  Raising an upper bound raises only arc 2e,
-upper - b, and keeps D and the flow pushed so far: newton's probes
-continue a max flow that way.
+deficiency is therefore D - value, read off the flow value.  None of
+this depends on b; only the flow found and its augmenting paths do.  A
+start that conserves flow leaves D at most the total clamped off it:
+newton's first cascade drop starts from a flow feasible one level up.
+Raising an upper bound raises only arc 2e, upper - b, and keeps D and
+the flow pushed so far: newton's probes continue a max flow that way.
 
 Residual capacities are plain ints, and networks are built from plain
 bound views (extint.plain, None for an infinity), so ExtInt stays in
@@ -214,20 +213,23 @@ def max_flow(
 # -- Hoffman feasibility -------------------------------------------------
 
 
-def _super_network(
-    n: int, edges: Sequence, supply: Sequence[int], lower: Sequence, upper: Sequence
-) -> tuple[_Residual, list[int], int]:
-    """The super-source/super-sink network of ``edges`` under (lower, upper).
+def _super_network(problem: FlowProblem, upper: Sequence,
+                   start=None) -> tuple[_Residual, list[int], int]:
+    """The super-source/super-sink network under the problem's lower bounds and ``upper``.
 
-    The bounds are plain views (extint.plain).  Returns (net, base,
-    demand_total); the source is node n, the sink n + 1.  Edge e starts
-    at base[e]; arc 2e may raise it to its upper bound and the reverse
-    arc 2e+1 lower it to its lower bound (module docstring).
+    ``upper`` is a plain view.  Returns (net, base, demand_total), with
+    source n and sink n + 1.  Edge e starts at base[e] (module docstring);
+    arc 2e may raise it to its upper bound, arc 2e+1 lower it to its lower.
     """
+    n, edges, lower = problem.node_count, problem.graph.edges, problem._lo
     source, sink = n, n + 1
-    base = [lo if lo is not None else 0 if hi is None else min(0, hi)
-            for lo, hi in zip(lower, upper)]
-    excess = list(supply)
+    if start is None:
+        base = [lo if lo is not None else 0 if hi is None else min(0, hi)
+                for lo, hi in zip(lower, upper)]
+    else:
+        base = [lo if lo is not None and b < lo else hi if hi is not None and b > hi else b
+                for b, lo, hi in zip(start, lower, upper)]
+    excess = list(problem.supply)
     for (u, v), b in zip(edges, base):
         excess[v] -= b
         excess[u] += b
@@ -244,16 +246,16 @@ def _super_network(
     return net, base, demand_total
 
 
-def _feasibility_network(problem: FlowProblem, upper: Sequence):
+def _feasibility_network(problem: FlowProblem, upper: Sequence, start=None):
     """Max flow on the _super_network of the problem's lower bounds and plain ``upper``.
 
     Returns (net, base, sink_side, deficiency).  sink_side is the
     complement of the source-reachable set, and its deficiency is
     demand_total - value (module docstring): zero exactly when the flow
-    is feasible.
+    is feasible.  Both are the same from every ``start`` (one int per edge).
     """
     n = problem.node_count
-    net, base, demand = _super_network(n, problem.graph.edges, problem.supply, problem._lo, upper)
+    net, base, demand = _super_network(problem, upper, start)
     value, level = net.max_flow(n, n + 1)
     return net, base, frozenset(v for v in range(n) if level[v] < 0), demand - value
 

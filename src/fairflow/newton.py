@@ -15,7 +15,8 @@ the Newton stage; each drop is the feasibility network of the problem
 under that list with the level edges lowered to beta1, so no
 FlowProblem is built.  beta1 is at least every focus lower bound, so
 the drop's bounds are valid; narrow_box still checks the clamped ones.
-clamped_upper becomes ExtInt once, at the return.
+clamped_upper becomes ExtInt once, at the return.  Only the first drop
+starts warm, from a given flow clamped into its bounds (maxflow docstring).
 
 All probes of a cap continue the failed drop's max flow: mu = 0 reads
 its cut, and each later probe first raises the level edges' arcs by the
@@ -115,18 +116,19 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
 
     Requires finite bounds on the focus set and a feasible problem.
     Without ``flow`` one feasibility solve proves it (InfeasibleError
-    otherwise); a given flow must be feasible for the problem and is
-    checked in O(m) instead (ValueError naming the violation).  Works by
-    cascading the top bound value downwards: while the top level can
-    drop to the next candidate level max(top lower bound, second upper
-    value) feasibly, clamp and continue (newly tight edges leave the
-    focus set); when the drop fails, the exact cap is recovered by the
-    Newton driver over min-cut probes that continue the failed drop's
-    max flow (module docstring).  The result's ``flow`` is the last
-    probe's flow, or without a cap the last feasible flow of the cascade.
+    otherwise); a given flow must be feasible for the problem, is checked
+    in O(m) instead (ValueError naming the violation) and starts the
+    first drop.  Works by cascading the top bound value downwards: while
+    the top level can drop to the next candidate level max(top lower
+    bound, second upper value) feasibly, clamp and continue (newly tight
+    edges leave the focus set); when the drop fails, the exact cap is
+    recovered by the Newton driver over min-cut probes that continue the
+    failed drop's max flow (module docstring).  The result's ``flow`` is
+    the last probe's flow, or without a cap the last feasible flow.
     """
     if not problem.finite_on_focus():
         raise ValueError("compute_beta requires finite bounds on the focus set")
+    start = flow  # the first drop's base: the flow given, feasible one level up
     if flow is None:
         flow = require_feasible(problem)
     else:
@@ -154,7 +156,8 @@ def compute_beta(problem: FlowProblem, flow: Sequence[int] | None = None) -> Bet
         level_set = frozenset(level)
         beta1 = max(f_top, g_values[1]) if len(g_values) > 1 else f_top
         dropped = [beta1 if e in level_set else h for e, h in enumerate(hi)]
-        net, base, nodes, deficiency = _feasibility_network(problem, dropped)
+        net, base, nodes, deficiency = _feasibility_network(problem, dropped, start)
+        start = None  # later drops start cold
         if deficiency == 0:
             hi, flow = dropped, net.values(base)
             strip_tight(level)  # only the level edges changed

@@ -105,6 +105,18 @@ class TestImprovingCircuit:
         aux, cost = build_level_cost(asym, (2, 1, 3))
         assert find_improving_dicircuit(aux, cost) is None
 
+    @pytest.mark.parametrize("aux_flow, cost_flow, text", (
+        ((4, 0), (2, 2), "4 arc signs and 4 arc levels for 2 residual arcs"),  # a longer cost
+        ((2, 2), (4, 0), "2 arc signs and 2 arc levels for 4 residual arcs"),  # a shorter cost
+    ), ids=("longer-cost", "shorter-cost"))
+    def test_cost_of_another_residual_rejected(self, aux_flow, cost_flow, text):
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4], focus=[0, 1])
+        aux, _ = build_level_cost(problem, aux_flow)
+        _, cost = build_level_cost(problem, cost_flow)
+        with pytest.raises(ValueError, match=text) as caught:
+            find_improving_dicircuit(aux, cost)
+        assert type(caught.value) is ValueError
+
     def test_no_circuits_at_all(self):
         problem = build(2, [(0, 1)], [0], [2], [-1, 1], focus=[0])
         # tight in one direction: only one residual arc each way but no cycle
@@ -232,6 +244,21 @@ class TestPotentialVector:
         assert potential_is_feasible(aux, cost, fair)
         padded = fair.values + fair.values[:1]
         assert not potential_is_feasible(aux, cost, PotentialVector(fair.dimension, padded))
+
+    def test_cost_of_another_residual_rejected(self):
+        # the unfair flow's residual has 2 arcs, the fair flow's cost 4
+        problem = build(2, [(0, 1), (0, 1)], [0, 0], [4, 4], [-4, 4], focus=[0, 1])
+        aux, _ = build_level_cost(problem, (4, 0))
+        _, cost = build_level_cost(problem, (2, 2))
+        potential = PotentialVector(2, ((0, 0), (-1, 0)))
+        with pytest.raises(ValueError, match="4 arc signs and 4 arc levels for 2 residual arcs"):
+            potential_is_feasible(aux, cost, potential)
+        # nor is a potential built for the unfair flow from the fair flow's cost
+        with pytest.raises(ValueError, match="4 arc signs and 4 arc levels for 2 residual arcs"):
+            build_potential_vector(aux, cost)
+        # the shape rule still holds for a cost of the right residual
+        _, own = build_level_cost(problem, (4, 0))
+        assert not potential_is_feasible(aux, own, PotentialVector(2, ((0, 0),)))
 
 
 class TestIsDecmin:

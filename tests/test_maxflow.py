@@ -19,8 +19,10 @@ from fairflow import (
     InfeasibleError,
 )
 from fairflow.core import supply_sum
+from fairflow.maxflow import _feasibility_network
 
 from conftest import build, random_problem
+from test_warm_start import scale_problem
 
 
 def all_subsets(n):
@@ -162,6 +164,38 @@ class TestFeasibility:
             else:
                 assert worst <= 0
                 assert check_flow(problem, outcome) is None
+
+    def test_feasibility_network_is_the_same_from_every_start(self):
+        # any start, clamped into the bounds, gives the cold call's sink side
+        # and deficiency, and a feasible flow when the deficiency is 0
+        rng = random.Random(23)
+        starts = feasible = 0
+        for _ in range(150):
+            m, width = rng.choice((12, 30, 60)), rng.choice((3, 20))
+            problem = scale_problem(rng, m, 0.5, width, inf_share=0.2)
+            # a plain upper list at or above the lower bounds, some of it +inf
+            upper = [
+                None if rng.random() < 0.1
+                else (lo if lo is not None else -width) + rng.randint(0, width)
+                for lo in problem._lo
+            ]
+            bounded = problem.with_bounds(
+                upper=tuple(POS_INF if u is None else ExtInt(u) for u in upper)
+            )
+            net, base, *cold = _feasibility_network(problem, upper)
+            near = net.values(base)
+            for k in range(6):
+                if k % 2:  # near the cold flow, feasible or not
+                    start = [z + rng.randint(-2, 2) for z in near]
+                else:  # mostly outside the bounds
+                    start = [rng.randint(-2 * width - 5, 2 * width + 5) for _ in range(m)]
+                net, base, *warm = _feasibility_network(problem, upper, start)
+                assert warm == cold
+                if warm[1] == 0:
+                    assert check_flow(bounded, net.values(base)) is None
+                    feasible += 1
+                starts += 1
+        assert starts == 900 and 100 < feasible < 800
 
 
 class TestMostViolating:

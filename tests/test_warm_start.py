@@ -1,8 +1,10 @@
 """Warm starts change how a cap is found, never what is found.
 
 Instances have 50 to 400 edges, beyond the brute-force oracle's reach;
-the reference is the same call started cold.  compute_beta's Newton
-probes continue one network, so each is compared with a cold
+the reference is the same call started cold.  A flow given to
+compute_beta starts its first cascade drop, so the result from every
+given flow is compared with the call without one.  compute_beta's
+Newton probes continue one network, so each is compared with a cold
 nd_cut_subroutine call.  The upper-minimizer's starts are checked in
 tests/test_upper_min.py.
 """
@@ -18,8 +20,11 @@ from fairflow import (
     NDIteration,
     NEG_INF,
     POS_INF,
+    apply_dicircuit,
+    build_costed_residual,
     check_flow,
     compute_beta,
+    decmin,
     decmin_flow,
     min_cost_mflow,
     narrow_box,
@@ -73,9 +78,42 @@ def mu_probes(result):
     return sum(1 for it in iterations if it.mu > 0)
 
 
-def test_compute_beta_with_a_flow_matches_the_cold_start():
+def moved(rng, problem, flow, circuits=3):
+    """flow moved one unit around each of up to ``circuits`` random residual
+    circuits; every move keeps the flow feasible."""
+    for _ in range(circuits):
+        arcs = build_costed_residual(problem, flow).arcs
+        out = [[] for _ in range(problem.node_count)]
+        for arc in arcs:
+            out[arc.tail].append(arc)
+        # a random walk until it closes a circuit or meets a dead end
+        u = rng.randrange(problem.node_count)
+        seen, walk = {u: 0}, []
+        while out[u]:
+            arc = rng.choice(out[u])
+            walk.append(arc)
+            u = arc.head
+            if u in seen:
+                flow = apply_dicircuit(flow, walk[seen[u]:])
+                break
+            seen[u] = len(walk)
+    return flow
+
+
+def assert_same_result(problem, cold, flow):
+    """compute_beta from ``flow`` equals the cold call, and its flow is
+    feasible under the clamped bounds."""
+    assert check_flow(problem, flow) is None
+    result = compute_beta(problem, flow=flow)
+    assert result == cold
+    assert check_flow(problem.with_bounds(upper=result.clamped_upper), result.flow) is None
+
+
+def test_compute_beta_with_a_flow_matches_the_cold_start(monkeypatch):
     rng = random.Random(823)
-    probes = 0
+    # a second generator for the moves leaves the instances as they were
+    moves = random.Random(827)
+    probes = starts = 0
     for m in SIZES:
         for focus_share, width in ((0.3, 6), (1.0, 20), (1.0, 100)):
             problem = scale_problem(rng, m, focus_share, width, inf_share=0.1)
@@ -84,12 +122,32 @@ def test_compute_beta_with_a_flow_matches_the_cold_start():
                 rng.randint(-10, 10) if lo.is_finite and hi.is_finite else 0
                 for lo, hi in zip(problem.lower, problem.upper)
             )
+            # record the flow narrow_box passes each round: the input's,
+            # then the last round's upper-minimizer flow
+            passed = []
+
+            def recording(state, flow):
+                passed.append((state, flow))
+                return compute_beta(state, flow=flow)
+
+            monkeypatch.setattr(decmin, "compute_beta", recording)
             fair = decmin_flow(problem)
+            monkeypatch.undo()
             cold = compute_beta(problem)
             probes += mu_probes(cold)
             cheapest = min_cost_mflow(replace(problem, cost=costs))
-            for flow in (require_feasible(problem), cheapest, fair):
-                assert compute_beta(problem, flow=flow) == cold
+            flows = [require_feasible(problem), cheapest, fair]
+            for flow in flows + [moved(moves, problem, flow) for flow in flows]:
+                assert_same_result(problem, cold, flow)
+                starts += 1
+            if m > 200:
+                continue  # the 400-edge rounds would double the test's time
+            for state, flow in passed:
+                cold = compute_beta(state)
+                probes += mu_probes(cold)
+                for start in (flow, moved(moves, state, flow)):
+                    assert_same_result(state, cold, start)
+                    starts += 1
             if width == 100 and m <= 100:
                 # later rounds of wide boxes probe past mu = 0; a fair flow
                 # lies in the narrow box, inside every round's bounds
@@ -97,7 +155,7 @@ def test_compute_beta_with_a_flow_matches_the_cold_start():
                     cold = compute_beta(state)
                     probes += mu_probes(cold)
                     assert compute_beta(state, flow=fair) == cold
-    assert probes > 0
+    assert probes > 0 and starts > 250
 
 
 def test_compute_beta_rejects_a_flow_that_is_not_feasible():

@@ -14,14 +14,21 @@ The counts must not grow with the box width, so the instances here are
 all-focus with widths 10^3 and 10^12 on the same graphs: a
 pseudo-polynomial regression would run millions of times past the
 bounds.
+
+The first cascade drop of each compute_beta starts from the flow it
+was given, so its network routes at most the sum over the level edges
+of (flow_e - beta1)+ units, not the whole demand of the lower bounds.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from fairflow import Digraph, ExtInt, FlowProblem, decmin, maxflow, mincost, narrow_box, newton
 from fairflow.core import imbalances
+from fairflow.jsonio import parse_problem
 
 
 def wide_problem(seed, width):
@@ -119,3 +126,46 @@ def test_work_stays_within_the_stated_bounds(monkeypatch, width):
     # the counts are not vacuous: the family runs many rounds, drops and
     # cancellations at either width
     assert total_rounds >= 100 and total_drops > 0 and total_cancels > 0
+
+
+def ladder_documents(seed):
+    """The benchmark's decmin-ladder problem documents for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate("decmin-ladder", seed)["documents"]
+
+
+def test_first_cascade_network_routes_only_the_clamped_excess(monkeypatch):
+    """Each compute_beta's first drop network has demand at most the sum over
+    its level edges (those whose upper it lowers) of (flow_e - beta1)+."""
+    firsts, pending = [], []  # pending: the flow of a call whose first drop is to come
+    solve_drop, compute = newton._feasibility_network, decmin.compute_beta
+
+    def first_drop(problem, upper, *args):
+        net, base, nodes, deficiency = solve_drop(problem, upper, *args)
+        if pending:
+            flow, n, m = pending.pop(), problem.node_count, problem.edge_count
+            # the sink arcs follow the edges' arcs; their capacities sum to the demand
+            demand = sum(net.cap[a] for a in range(2 * m, len(net.cap), 2) if net.head[a] == n + 1)
+            excess = sum(
+                max(0, flow[e] - h) for e, (h, old) in enumerate(zip(upper, problem._hi)) if h != old
+            )
+            firsts.append((demand, excess))
+        return net, base, nodes, deficiency
+
+    def recording(problem, flow):
+        # a call whose focus is all tight makes no drop, so replace, not append
+        pending[:] = [flow]
+        return compute(problem, flow=flow)
+
+    monkeypatch.setattr(newton, "_feasibility_network", first_drop)
+    monkeypatch.setattr(decmin, "compute_beta", recording)
+    for document in ladder_documents(0):
+        narrow_box(parse_problem(document))
+    for demand, excess in firsts:
+        assert demand <= excess
+    # cold, the same networks route 186.2M units
+    assert len(firsts) > 150 and sum(demand for demand, _ in firsts) < 2_000_000
+    assert any(demand == 0 for demand, _ in firsts)
